@@ -42,11 +42,6 @@ def _q(t=0, x=0, y=0, z=0) -> Quaternion:
     return Quaternion(t, x, y, z)
 
 
-def _c(re=0, im=0) -> ExactComplex:
-    return ExactComplex(ExactScalar(re) if not isinstance(re, ExactScalar) else re,
-                        ExactScalar(im) if not isinstance(im, ExactScalar) else im)
-
-
 def _cmat(n: int, entries: dict) -> CMatrix:
     grid = [[ExactComplex(0)] * n for _ in range(n)]
     for (r, c), v in entries.items():
@@ -79,13 +74,14 @@ def basis_su2_sl2_S() -> LieBasis:
     """Block-diagonal su(2) + sl(2,R) basis with the same structure constants
     as the A basis of so*(4)."""
     h = _HALF
+    ih = ExactComplex(0, h)
     gens = [
-        _cmat(4, {(0, 1): _c(0, h), (1, 0): _c(0, h)}),
-        _cmat(4, {(0, 1): _c(-h), (1, 0): _c(h)}),
-        _cmat(4, {(0, 0): _c(0, h), (1, 1): _c(0, -h)}),
-        _cmat(4, {(2, 3): _c(-h), (3, 2): _c(-h)}),
-        _cmat(4, {(2, 3): _c(-h), (3, 2): _c(h)}),
-        _cmat(4, {(2, 2): _c(-h), (3, 3): _c(h)}),
+        _cmat(4, {(0, 1): ih, (1, 0): ih}),
+        _cmat(4, {(0, 1): -h, (1, 0): h}),
+        _cmat(4, {(0, 0): ih, (1, 1): -ih}),
+        _cmat(4, {(2, 3): -h, (3, 2): -h}),
+        _cmat(4, {(2, 3): -h, (3, 2): h}),
+        _cmat(4, {(2, 2): -h, (3, 3): h}),
     ]
     return LieBasis("su2_sl2_S", COMPLEX_EXACT, gens,
                     [f"S{i}" for i in range(1, 7)])
@@ -112,15 +108,15 @@ def basis_su31() -> LieBasis:
         corner = lam[i].conj()
         gens.append(from_blocks([[corner, zero3x1], [zero1x3, zero1x1]]))
     h = _HALF
-    gens.append(_cmat(4, {(2, 3): _c(-h), (3, 2): _c(-h)}))            # s9
-    gens.append(_cmat(4, {(2, 3): _c(0, h), (3, 2): _c(0, -h)}))       # s10
-    gens.append(_cmat(4, {(1, 3): _c(h), (3, 1): _c(h)}))              # s11
-    gens.append(_cmat(4, {(1, 3): _c(0, -h), (3, 1): _c(0, h)}))       # s12
-    gens.append(_cmat(4, {(0, 3): _c(-h), (3, 0): _c(-h)}))            # s13
-    gens.append(_cmat(4, {(0, 3): _c(0, h), (3, 0): _c(0, -h)}))       # s14
-    w = ExactScalar(_HALF) / ExactScalar.sqrt6()                       # 1/(2 sqrt 6)
-    gens.append(CMatrix.diag([_c(0, w), _c(0, w), _c(0, w),
-                              _c(0, ExactScalar(-3) * w)]))            # s15
+    ih = ExactComplex(0, h)
+    gens.append(_cmat(4, {(2, 3): -h, (3, 2): -h}))            # s9
+    gens.append(_cmat(4, {(2, 3): ih, (3, 2): -ih}))           # s10
+    gens.append(_cmat(4, {(1, 3): h, (3, 1): h}))              # s11
+    gens.append(_cmat(4, {(1, 3): -ih, (3, 1): ih}))           # s12
+    gens.append(_cmat(4, {(0, 3): -h, (3, 0): -h}))            # s13
+    gens.append(_cmat(4, {(0, 3): ih, (3, 0): -ih}))           # s14
+    iw = ExactComplex(0, ExactScalar(_HALF) / ExactScalar.sqrt6())  # i/(2 sqrt 6)
+    gens.append(CMatrix.diag([iw, iw, iw, -3 * iw]))           # s15
     return LieBasis("su31", COMPLEX_EXACT, gens, [f"s{i}" for i in range(1, 16)])
 
 
@@ -171,9 +167,8 @@ def basis_sostar6_complex() -> LieBasis:
         gens.append(from_blocks([[zero3, -l], [l, zero3]]))
         il = l.scale(i_c)
         gens.append(from_blocks([[zero3, il], [il, zero3]]))
-    w = ExactScalar(1) / ExactScalar.sqrt6()
-    top = [_c(0, w)] * 3 + [_c(0, ExactScalar(-1) * w)] * 3
-    gens.append(CMatrix.diag(top))
+    iw = ExactComplex(0, ExactScalar(1) / ExactScalar.sqrt6())
+    gens.append(CMatrix.diag([iw] * 3 + [-iw] * 3))
     return LieBasis("sostar6_complex", COMPLEX_EXACT, gens,
                     [f"a{i}" for i in range(1, 16)])
 

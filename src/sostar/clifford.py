@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import dirac, pauli
-from .hmatrix import CMatrix, HMatrix, from_blocks, kron
+from .hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
+                      from_blocks, kron)
 from .quaternion import Quaternion
 from .report import VerificationReport
 from .scalars import ExactComplex, ExactScalar
@@ -129,11 +130,7 @@ def spin26_generators() -> SpinBasisSet:
 def standard_quaternionic_structure() -> CMatrix:
     """J = diag(eps, eps, eps, eps) with eps the 2x2 rotation by a quarter turn;
     satisfies J J* = -I and is the embedded image of j*I_4."""
-    eps = CMatrix([[ExactComplex(0), ExactComplex(-1)],
-                   [ExactComplex(1), ExactComplex(0)]])
-    zero2 = CMatrix.zeros(2, 2)
-    grid = [[eps if i == j else zero2 for j in range(4)] for i in range(4)]
-    return from_blocks(grid)
+    return embedded_quaternionic_structure(4)
 
 
 def check_sostar8_structure(rep: str, spin: SpinBasisSet | None = None) -> VerificationReport:

@@ -16,16 +16,12 @@ from .scalars import ExactComplex, ExactScalar
 _H = Fraction(1, 2)
 
 
-def _c(re=0, im=0) -> ExactComplex:
-    return ExactComplex(ExactScalar(re) if not isinstance(re, ExactScalar) else re,
-                        ExactScalar(im) if not isinstance(im, ExactScalar) else im)
-
-
 def pauli() -> list[CMatrix]:
     """The Pauli matrices sigma_x, sigma_y, sigma_z."""
-    sx = CMatrix([[_c(0), _c(1)], [_c(1), _c(0)]])
-    sy = CMatrix([[_c(0), _c(0, -1)], [_c(0, 1), _c(0)]])
-    sz = CMatrix([[_c(1), _c(0)], [_c(0), _c(-1)]])
+    i = ExactComplex(0, 1)
+    sx = CMatrix([[0, 1], [1, 0]])
+    sy = CMatrix([[0, -i], [i, 0]])
+    sz = CMatrix([[1, 0], [0, -1]])
     return [sx, sy, sz]
 
 
@@ -36,32 +32,18 @@ def gellmann() -> list[CMatrix]:
     Normalized so that Tr(lambda_i lambda_i) = -1/2.
     """
     h = _H
-    lam1 = CMatrix([[_c(0), _c(0, h), _c(0)],
-                    [_c(0, h), _c(0), _c(0)],
-                    [_c(0), _c(0), _c(0)]])
-    lam2 = CMatrix([[_c(0), _c(-h), _c(0)],
-                    [_c(h), _c(0), _c(0)],
-                    [_c(0), _c(0), _c(0)]])
-    lam3 = CMatrix([[_c(0, h), _c(0), _c(0)],
-                    [_c(0), _c(0, -h), _c(0)],
-                    [_c(0), _c(0), _c(0)]])
-    lam4 = CMatrix([[_c(0), _c(0), _c(0, h)],
-                    [_c(0), _c(0), _c(0)],
-                    [_c(0, h), _c(0), _c(0)]])
-    lam5 = CMatrix([[_c(0), _c(0), _c(-h)],
-                    [_c(0), _c(0), _c(0)],
-                    [_c(h), _c(0), _c(0)]])
-    lam6 = CMatrix([[_c(0), _c(0), _c(0)],
-                    [_c(0), _c(0), _c(0, h)],
-                    [_c(0), _c(0, h), _c(0)]])
-    lam7 = CMatrix([[_c(0), _c(0), _c(0)],
-                    [_c(0), _c(0), _c(-h)],
-                    [_c(0), _c(h), _c(0)]])
+    ih = ExactComplex(0, h)
+    lam1 = CMatrix([[0, ih, 0], [ih, 0, 0], [0, 0, 0]])
+    lam2 = CMatrix([[0, -h, 0], [h, 0, 0], [0, 0, 0]])
+    lam3 = CMatrix([[ih, 0, 0], [0, -ih, 0], [0, 0, 0]])
+    lam4 = CMatrix([[0, 0, ih], [0, 0, 0], [ih, 0, 0]])
+    lam5 = CMatrix([[0, 0, -h], [0, 0, 0], [h, 0, 0]])
+    lam6 = CMatrix([[0, 0, 0], [0, 0, ih], [0, ih, 0]])
+    lam7 = CMatrix([[0, 0, 0], [0, 0, -h], [0, h, 0]])
     s3 = ExactScalar.sqrt3()
     w = (ExactScalar(_H) / s3)  # 1/(2 sqrt 3)
-    lam8 = CMatrix([[_c(0, w), _c(0), _c(0)],
-                    [_c(0), _c(0, w), _c(0)],
-                    [_c(0), _c(0), _c(0, ExactScalar(-2) * w)]])
+    iw = ExactComplex(0, w)
+    lam8 = CMatrix([[iw, 0, 0], [0, iw, 0], [0, 0, -2 * iw]])
     return [lam1, lam2, lam3, lam4, lam5, lam6, lam7, lam8]
 
 
@@ -85,15 +67,12 @@ def u_sostar6() -> CMatrix:
     the embedded so*(6); conjugation by it carries the embedded quaternionic
     generators to the block form built on su(3)."""
     r = ExactScalar(1) / ExactScalar.sqrt2()
-    i_ = lambda: _c(0, r)
-    mi = lambda: _c(0, ExactScalar(-1) * r)
-    one = lambda: _c(r)
-    z = lambda: _c(0)
+    i_ = ExactComplex(0, r)
     return CMatrix([
-        [z(), z(), i_(), z(), z(), mi()],
-        [z(), z(), one(), z(), z(), one()],
-        [z(), i_(), z(), z(), mi(), z()],
-        [z(), one(), z(), z(), one(), z()],
-        [i_(), z(), z(), mi(), z(), z()],
-        [one(), z(), z(), one(), z(), z()],
+        [0, 0, i_, 0, 0, -i_],
+        [0, 0, r, 0, 0, r],
+        [0, i_, 0, 0, -i_, 0],
+        [0, r, 0, 0, r, 0],
+        [i_, 0, 0, -i_, 0, 0],
+        [r, 0, 0, r, 0, 0],
     ])

@@ -1,10 +1,10 @@
 """Quaternion-valued and complex-valued matrices with the membership predicates
 for the quaternionic matrix groups.
 
-HMatrix entries are exact quaternions.  CMatrix carries a mode tag: "exact"
-entries are ExactComplex and never round, "float" entries are Python complex
-and every comparison takes an explicit tolerance.  Mixing the two modes in one
-operation raises; exponentials are the only producers of float matrices.
+HMatrix entries are exact quaternions and CMatrix entries are exact complex
+numbers; neither ever rounds.  Float matrices, which only exponentials
+produce, are complex numpy arrays: `CMatrix.to_numpy` is the one crossing
+from exact to float, and every float comparison takes an explicit tolerance.
 
 Conventions:
 
@@ -212,17 +212,17 @@ class HMatrix:
 
 
 class CMatrix:
-    """Complex matrix in exact mode (ExactComplex entries) or float mode."""
+    """n x m complex matrix with exact (ExactComplex) entries, immutable."""
 
-    __slots__ = ("rows", "cols", "entries", "mode")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence], mode: str = "exact") -> None:
-        if mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "exact":
-            grid = tuple(tuple(_as_excomplex(e) for e in row) for row in entries)
-        else:
-            grid = tuple(tuple(complex(e) for e in row) for row in entries)
+    # Every CMatrix is exact (float matrices are numpy arrays); the constant
+    # stays for callers that label CMatrix work by it, such as the benchmark's
+    # tracer.
+    mode = "exact"
+
+    def __init__(self, entries: Sequence[Sequence]) -> None:
+        grid = tuple(tuple(_as_excomplex(e) for e in row) for row in entries)
         if not grid or not grid[0]:
             raise ValueError("CMatrix cannot be empty")
         width = len(grid[0])
@@ -231,74 +231,46 @@ class CMatrix:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
         raise AttributeError("CMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int, mode: str = "exact") -> "CMatrix":
-        if mode == "exact":
-            return cls([[ExactComplex(1 if i == j else 0) for j in range(n)]
-                        for i in range(n)])
-        return cls([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)],
-                   mode="float")
+    def identity(cls, n: int) -> "CMatrix":
+        return cls([[ExactComplex(1 if i == j else 0) for j in range(n)]
+                    for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, mode: str = "exact") -> "CMatrix":
-        if mode == "exact":
-            return cls([[ExactComplex(0)] * cols for _ in range(rows)])
-        return cls([[0.0] * cols for _ in range(rows)], mode="float")
+    def zeros(cls, rows: int, cols: int) -> "CMatrix":
+        return cls([[ExactComplex(0)] * cols for _ in range(rows)])
 
     @classmethod
-    def diag(cls, values: Iterable, mode: str = "exact") -> "CMatrix":
-        vals = list(values)
+    def diag(cls, values: Iterable) -> "CMatrix":
+        vals = [_as_excomplex(v) for v in values]
         n = len(vals)
-        if mode == "exact":
-            vals = [_as_excomplex(v) for v in vals]
-            zero = ExactComplex(0)
-        else:
-            vals = [complex(v) for v in vals]
-            zero = 0.0
-        return cls([[vals[i] if i == j else zero for j in range(n)] for i in range(n)],
-                   mode=mode)
-
-    def _check_mode(self, other: "CMatrix"):
-        if self.mode != other.mode:
-            raise ValueError("cannot mix exact and float CMatrix modes")
+        zero = ExactComplex(0)
+        return cls([[vals[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     def _check_same_shape(self, other: "CMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def __add__(self, other: "CMatrix") -> "CMatrix":
-        self._check_mode(other)
         self._check_same_shape(other)
         return CMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)], mode=self.mode)
+                        for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
-        self._check_mode(other)
         self._check_same_shape(other)
         return CMatrix([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)], mode=self.mode)
+                        for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "CMatrix":
-        return CMatrix([[-e for e in row] for row in self.entries], mode=self.mode)
+        return CMatrix([[-e for e in row] for row in self.entries])
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        self._check_mode(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        if self.mode == "float":
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    row.append(sum(self.entries[i][k] * other.entries[k][j]
-                                   for k in range(self.cols)))
-                out.append(row)
-            return CMatrix(out, mode="float")
         out = []
         for i in range(self.rows):
             row = []
@@ -317,47 +289,34 @@ class CMatrix:
         return CMatrix(out)
 
     def scale(self, s) -> "CMatrix":
-        if self.mode == "float":
-            s = complex(s)
-            return CMatrix([[s * e for e in row] for row in self.entries], mode="float")
         s = _as_excomplex(s)
         return CMatrix([[s * e for e in row] for row in self.entries])
 
     def transpose(self) -> "CMatrix":
         return CMatrix([[self.entries[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)], mode=self.mode)
+                        for j in range(self.cols)])
 
     def conj(self) -> "CMatrix":
-        if self.mode == "float":
-            return CMatrix([[e.conjugate() for e in row] for row in self.entries],
-                           mode="float")
         return CMatrix([[e.conj() for e in row] for row in self.entries])
 
     def dagger(self) -> "CMatrix":
         return self.conj().transpose()
 
-    def trace(self):
+    def trace(self) -> ExactComplex:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        if self.mode == "float":
-            return sum(self.entries[i][i] for i in range(self.rows))
         acc = ExactComplex(0)
         for i in range(self.rows):
             acc = acc + self.entries[i][i]
         return acc
 
-    def det(self):
+    def det(self) -> ExactComplex:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.mode == "float":
-            import numpy
-            return complex(numpy.linalg.det(self.to_numpy()))
         return linalg.det_bareiss([list(row) for row in self.entries])
 
     def inverse(self) -> "CMatrix":
-        """Exact inverse by Gauss-Jordan elimination (exact mode only)."""
-        if self.mode != "exact":
-            raise ValueError("exact inverse requires exact mode")
+        """Exact inverse by Gauss-Jordan elimination."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -369,67 +328,40 @@ class CMatrix:
         return CMatrix([row[n:] for row in aug])
 
     def is_zero(self) -> bool:
-        if self.mode == "float":
-            return all(e == 0 for row in self.entries for e in row)
         return all(e.is_zero() for row in self.entries for e in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CMatrix):
             return NotImplemented
-        return (self.mode == other.mode and self.rows == other.rows and
-                self.cols == other.cols and self.entries == other.entries)
+        return (self.rows == other.rows and self.cols == other.cols and
+                self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.mode, self.entries))
-
-    def to_float(self) -> "CMatrix":
-        if self.mode == "float":
-            return self
-        return CMatrix([[complex(e) for e in row] for row in self.entries],
-                       mode="float")
+        return hash(self.entries)
 
     def to_numpy(self):
+        """The float image as a complex numpy array: the one place where exact
+        matrices cross over to floats."""
         import numpy
-        if self.mode == "float":
-            return numpy.array(self.entries, dtype=complex)
         return numpy.array([[complex(e) for e in row] for row in self.entries],
                            dtype=complex)
 
-    def max_abs_diff(self, other: "CMatrix") -> float:
-        """Entry-wise max-norm distance, computed in floats."""
-        self._check_same_shape(other)
-        a = self.to_float()
-        b = other.to_float()
-        return max(abs(x - y) for r1, r2 in zip(a.entries, b.entries)
-                   for x, y in zip(r1, r2))
-
-    def is_close(self, other: "CMatrix", tol: float = DEFAULT_TOL) -> bool:
-        return self.max_abs_diff(other) <= tol
-
     def to_json(self) -> dict:
-        if self.mode == "float":
-            ent = [{"re": e.real, "im": e.imag} for row in self.entries for e in row]
-        else:
-            ent = [e.to_json() for row in self.entries for e in row]
-        return {"rows": self.rows, "cols": self.cols, "mode": self.mode, "entries": ent}
+        return {"rows": self.rows, "cols": self.cols, "mode": "exact",
+                "entries": [e.to_json() for row in self.entries for e in row]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CMatrix":
-        rows, cols, mode = obj["rows"], obj["cols"], obj.get("mode", "exact")
-        if mode == "float":
-            flat = [complex(e["re"], e["im"]) for e in obj["entries"]]
-        else:
-            flat = [ExactComplex.from_json(e) for e in obj["entries"]]
-        return cls([flat[i * cols:(i + 1) * cols] for i in range(rows)], mode=mode)
+        rows, cols = obj["rows"], obj["cols"]
+        flat = [ExactComplex.from_json(e) for e in obj["entries"]]
+        return cls([flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
     def __repr__(self) -> str:
-        return f"CMatrix({self.rows}x{self.cols}, {self.mode})"
+        return f"CMatrix({self.rows}x{self.cols})"
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Kronecker product of exact CMatrix factors."""
-    if a.mode != "exact" or b.mode != "exact":
-        raise ValueError("kron is defined for exact matrices")
+    """Kronecker product of CMatrix factors."""
     out = []
     for i in range(a.rows):
         for k in range(b.rows):
@@ -442,7 +374,7 @@ def kron(a: CMatrix, b: CMatrix) -> CMatrix:
 
 
 def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
-    """Assemble an exact CMatrix from a 2D grid of exact blocks."""
+    """Assemble a CMatrix from a 2D grid of blocks."""
     out = []
     for brow in blocks:
         height = brow[0].rows
@@ -542,28 +474,15 @@ def is_slh_algebra(a: HMatrix) -> bool:
     return a.trace().real_part().is_zero()
 
 
-def quaternionic_structure_commutant_check(m: CMatrix, j: CMatrix,
-                                           tol: float | None = None) -> bool:
-    """True iff J M* J^{-1} = M for the antilinear structure J (J J* = -I).
+def quaternionic_structure_commutant_check(m: CMatrix, j: CMatrix) -> bool:
+    """True iff J M* J^{-1} = M exactly, for the antilinear structure J (J J* = -I).
 
-    Exact matrices are compared exactly; float matrices require a tolerance.
     Raises if J fails J J* = -I.
     """
-    if m.mode != j.mode:
-        raise ValueError("cannot mix exact and float CMatrix modes")
-    n = j.rows
-    jj = j @ j.conj()
-    ident = CMatrix.identity(n, mode=j.mode)
-    if j.mode == "exact":
-        if not (jj + ident).is_zero():
-            raise ValueError("J is not a quaternionic structure (J J* != -I)")
-        jinv = -j.conj()  # consequence of J J* = -I
-        return (j @ m.conj() @ jinv - m).is_zero()
-    t = tol if tol is not None else DEFAULT_TOL
-    if (jj + ident).max_abs_diff(CMatrix.zeros(n, n, mode="float")) > t:
+    if not (j @ j.conj() + CMatrix.identity(j.rows)).is_zero():
         raise ValueError("J is not a quaternionic structure (J J* != -I)")
-    jinv = -j.conj()
-    return (j @ m.conj() @ jinv).is_close(m, t)
+    jinv = -j.conj()  # consequence of J J* = -I
+    return (j @ m.conj() @ jinv - m).is_zero()
 
 
 def embedded_quaternionic_structure(n: int) -> CMatrix:
@@ -571,31 +490,46 @@ def embedded_quaternionic_structure(n: int) -> CMatrix:
     return HMatrix.diag([Q_J] * n).embed()
 
 
-def is_sostar_group_embedded(c: CMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """Embedded-form group membership for float matrices from exponentials.
+# Float group elements (from exponentials) are complex numpy arrays; numpy is
+# imported inside the functions so that exact-only callers never load it.
+
+
+def max_abs_diff(a, b) -> float:
+    """Entry-wise max-norm distance between two float matrices."""
+    import numpy
+    a, b = numpy.asarray(a), numpy.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError("shape mismatch")
+    return float(numpy.max(numpy.abs(a - b)))
+
+
+def _det_is_one(c, tol: float) -> bool:
+    import numpy
+    return abs(complex(numpy.linalg.det(c)) - 1) <= tol
+
+
+def is_sostar_group_embedded(c, tol: float = DEFAULT_TOL) -> bool:
+    """Embedded-form SO*(2n) membership of a float matrix from an exponential.
 
     Checks complex orthogonality C^T C = I, the quaternionic structure
-    commutation J C* J^{-1} = C, and det C = 1.
+    commutation J C* J^{-1} = C (J^{-1} = -J* because J J* = -I), and det C = 1.
     """
-    if c.rows != c.cols or c.rows % 2:
+    import numpy
+    rows, cols = numpy.shape(c)
+    if rows != cols or rows % 2:
         raise ValueError("embedded membership requires an even square matrix")
-    n = c.rows // 2
-    cf = c.to_float()
-    ident = CMatrix.identity(c.rows, mode="float")
-    if not (cf.transpose() @ cf).is_close(ident, tol):
-        return False
-    j = embedded_quaternionic_structure(n).to_float()
-    if not quaternionic_structure_commutant_check(cf, j, tol):
-        return False
-    return abs(cf.det() - 1) <= tol
+    j = embedded_quaternionic_structure(rows // 2).to_numpy()
+    return (max_abs_diff(c.T @ c, numpy.eye(rows)) <= tol
+            and max_abs_diff(j @ c.conj() @ -j.conj(), c) <= tol
+            and _det_is_one(c, tol))
 
 
-def is_su_group_embedded(c: CMatrix, p: int, q: int, tol: float = DEFAULT_TOL) -> bool:
-    """Pseudo-unitary membership C^dagger I_pq C = I_pq with det C = 1."""
-    if c.rows != c.cols or c.rows != p + q:
+def is_su_group_embedded(c, p: int, q: int, tol: float = DEFAULT_TOL) -> bool:
+    """Pseudo-unitary membership C^dagger I_pq C = I_pq with det C = 1, for a
+    float matrix."""
+    import numpy
+    rows, cols = numpy.shape(c)
+    if rows != cols or rows != p + q:
         raise ValueError("shape mismatch for SU(p,q) membership")
-    cf = c.to_float()
-    form = CMatrix.diag([1.0] * p + [-1.0] * q, mode="float")
-    if not (cf.dagger() @ form @ cf).is_close(form, tol):
-        return False
-    return abs(cf.det() - 1) <= tol
+    form = numpy.diag([1.0] * p + [-1.0] * q)
+    return max_abs_diff(c.conj().T @ form @ c, form) <= tol and _det_is_one(c, tol)

@@ -17,19 +17,23 @@ from .bases import (basis_sostar4_A, basis_sostar6_complex, basis_sostar6_quat,
                     basis_su2_sl2_S, basis_su31, generic_basis,
                     SL_H, SO_STAR, SP_STAR)
 from .hmatrix import (CMatrix, DEFAULT_TOL, is_sostar_group_embedded,
-                      is_su_group_embedded)
+                      is_su_group_embedded, max_abs_diff)
 from .liealg import (bracket, commutant_dimension, compact_generator_count,
                      killing, matrix_exp)
 from .report import VerificationReport
 
 
-def _exp_of(exact_mat, factor: float, tol: float) -> CMatrix:
-    scaled = exact_mat.to_float().scale(factor)
-    return matrix_exp(scaled, tol=min(tol * 1e-3, 1e-12))
+def _exp_of(exact_mat: CMatrix, factor: float, tol: float):
+    return matrix_exp(exact_mat.to_numpy() * factor, tol=min(tol * 1e-3, 1e-12))
 
 
-def _float_diag(values) -> CMatrix:
-    return CMatrix.diag(values, mode="float")
+def _close(a, b, tol: float) -> bool:
+    return max_abs_diff(a, b) <= tol
+
+
+def _float_diag(values):
+    import numpy
+    return numpy.diag(numpy.array(values, dtype=complex))
 
 
 def verify_sostar2(tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -45,10 +49,10 @@ def verify_sostar2(tol: float = DEFAULT_TOL) -> VerificationReport:
     ej = basis.generators[0].embed()  # 2x2 image of j
     for theta in (0.0, math.pi / 3, math.pi, 2 * math.pi):
         rot = _exp_of(ej, theta, tol)
-        target = CMatrix([[math.cos(theta), -math.sin(theta)],
-                          [math.sin(theta), math.cos(theta)]], mode="float")
+        target = [[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]]
         rep.check(f"exp(theta j) is the rotation by theta = {theta:.6f}",
-                  rot.is_close(target, tol), rot)
+                  _close(rot, target, tol), rot)
         rep.check(f"exp(theta j) is an embedded SO*(2) member (theta = {theta:.6f})",
                   is_sostar_group_embedded(rot, tol))
     return rep
@@ -74,17 +78,15 @@ def verify_sostar4(tol: float = DEFAULT_TOL) -> VerificationReport:
     r1 = _exp_of(a_basis.generators[0].embed(), two_pi, tol)
     r5 = _exp_of(a_basis.generators[4].embed(), two_pi, tol)
     rep.check("exp(2 pi S_1) = diag(-I_2, I_2)",
-              u1.is_close(_float_diag([-1, -1, 1, 1]), tol), u1)
+              _close(u1, _float_diag([-1, -1, 1, 1]), tol), u1)
     rep.check("exp(2 pi S_5) = diag(I_2, -I_2)",
-              u5.is_close(_float_diag([1, 1, -1, -1]), tol), u5)
+              _close(u5, _float_diag([1, 1, -1, -1]), tol), u5)
     rep.check("exp(2 pi A_1) = -I_4",
-              r1.is_close(_float_diag([-1] * 4), tol), r1)
-    minus_i4 = _float_diag([-1] * 4)
-    i4 = CMatrix.identity(4, mode="float")
+              _close(r1, _float_diag([-1] * 4), tol), r1)
     rep.check("U_1 U_5 = -I_4 (center acts nontrivially upstairs)",
-              (u1 @ u5).is_close(minus_i4, tol), u1 @ u5)
+              _close(u1 @ u5, _float_diag([-1] * 4), tol), u1 @ u5)
     rep.check("R_1 R_5 = I_4 (kernel of the induced cover)",
-              (r1 @ r5).is_close(i4, tol), r1 @ r5)
+              _close(r1 @ r5, _float_diag([1] * 4), tol), r1 @ r5)
     rep.check("R_1 is an embedded SO*(4) member",
               is_sostar_group_embedded(r1, tol))
     rep.check("R_5 is an embedded SO*(4) member",
@@ -99,20 +101,16 @@ def verify_sostar4(tol: float = DEFAULT_TOL) -> VerificationReport:
     return rep
 
 
-def _is_block_su2_sl2(m: CMatrix, tol: float) -> bool:
-    """Membership in the block group SU(2) x SL(2,R) inside GL(4,C)."""
-    ent = m.to_float().entries
-    for r in range(4):
-        for c in range(4):
-            if (r < 2) != (c < 2) and abs(ent[r][c]) > tol:
-                return False
-    top = CMatrix([[ent[0][0], ent[0][1]], [ent[1][0], ent[1][1]]], mode="float")
-    bot = CMatrix([[ent[2][2], ent[2][3]], [ent[3][2], ent[3][3]]], mode="float")
-    if not (top.dagger() @ top).is_close(CMatrix.identity(2, mode="float"), tol):
-        return False
-    if abs(top.det() - 1) > tol or abs(bot.det() - 1) > tol:
-        return False
-    return all(abs(e.imag) <= tol for row in bot.entries for e in row)
+def _is_block_su2_sl2(m, tol: float) -> bool:
+    """Membership of a 4x4 float matrix in the block group SU(2) x SL(2,R)
+    inside GL(4,C)."""
+    import numpy
+    top, bot = m[:2, :2], m[2:, 2:]
+    off_diagonal = numpy.concatenate([m[:2, 2:], m[2:, :2]])
+    return bool(numpy.abs(off_diagonal).max() <= tol
+                and _close(top.conj().T @ top, numpy.eye(2), tol)
+                and all(abs(numpy.linalg.det(blk) - 1) <= tol for blk in (top, bot))
+                and numpy.abs(bot.imag).max() <= tol)
 
 
 def verify_sostar6(tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -132,18 +130,18 @@ def verify_sostar6(tol: float = DEFAULT_TOL) -> VerificationReport:
 
     sqrt6_pi = math.sqrt(6.0) * math.pi
     e15_up = _exp_of(su31.generators[14], sqrt6_pi, tol)
-    target_up = CMatrix.diag([1j, 1j, 1j, 1j], mode="float")
-    rep.check("exp(sqrt6 pi s_15) = i I_4", e15_up.is_close(target_up, tol), e15_up)
+    rep.check("exp(sqrt6 pi s_15) = i I_4",
+              _close(e15_up, _float_diag([1j] * 4), tol), e15_up)
     rep.check("that center witness lies in SU(3,1)",
               is_su_group_embedded(e15_up, 3, 1, tol))
 
     e15_down = _exp_of(so6c.generators[14], sqrt6_pi, tol)
     target_down = _float_diag([-1] * 6)
-    rep.check("exp(sqrt6 pi a_15) = -I_6", e15_down.is_close(target_down, tol),
+    rep.check("exp(sqrt6 pi a_15) = -I_6", _close(e15_down, target_down, tol),
               e15_down)
     e15_quat = _exp_of(so6q.generators[14].embed(), sqrt6_pi, tol)
     rep.check("the quaternionic a_15 exponentiates to -I_6 as well",
-              e15_quat.is_close(target_down, tol), e15_quat)
+              _close(e15_quat, target_down, tol), e15_quat)
     rep.check("that center witness is an embedded SO*(6) member",
               is_sostar_group_embedded(e15_quat, tol))
 

@@ -1,5 +1,5 @@
 """Lie-algebra machinery: ordered bases, exact structure constants, Killing
-signatures, commutant dimensions, and a float-mode matrix exponential.
+signatures, commutant dimensions, and a float matrix exponential.
 
 Structure constants are computed by exact linear solves: generators are
 vectorized over the real coefficient field Q(sqrt2, sqrt3) (a quaternion entry
@@ -61,8 +61,8 @@ class LieBasis:
             if not all(isinstance(g, HMatrix) for g in gens):
                 raise TypeError("quaternionic basis requires HMatrix generators")
         else:
-            if not all(isinstance(g, CMatrix) and g.mode == "exact" for g in gens):
-                raise TypeError("complex-exact basis requires exact CMatrix generators")
+            if not all(isinstance(g, CMatrix) for g in gens):
+                raise TypeError("complex-exact basis requires CMatrix generators")
         shape = (gens[0].rows, gens[0].cols)
         if any((g.rows, g.cols) != shape for g in gens):
             raise ValueError("generators must share one shape")
@@ -346,27 +346,27 @@ def commutant_dimension(basis: LieBasis) -> int:
     return linalg.nullspace_dimension(rows)
 
 
-def matrix_exp(m: CMatrix, tol: float = 1e-12) -> CMatrix:
-    """Matrix exponential of a float-mode matrix by scaling and squaring.
+def matrix_exp(m, tol: float = 1e-12):
+    """Matrix exponential of a complex numpy array by scaling and squaring.
 
     The Taylor series of the scaled matrix is summed until the next term is
     below the squaring-adjusted tolerance; the result is squared back up.
     Accuracy bottoms out at double precision, well below the 1e-9 used by
     every verification in this package.
     """
-    if m.mode != "float":
-        raise ValueError("matrix_exp operates on float-mode matrices "
-                         "(use .to_float())")
-    if m.rows != m.cols:
-        raise ValueError("matrix_exp requires a square matrix")
+    if isinstance(m, CMatrix):
+        raise ValueError("matrix_exp operates on float matrices "
+                         "(use CMatrix.to_numpy())")
     import numpy as np
-    a = m.to_numpy()
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix_exp requires a square matrix")
     norm = float(np.linalg.norm(a, 1))
     s = 0
     if norm > 0.5:
         s = max(0, int(math.ceil(math.log2(norm / 0.5))))
     a_scaled = a / (2 ** s)
-    n = m.rows
+    n = a.shape[0]
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     threshold = tol / (8.0 * (2 ** s)) if tol > 0 else 0.0
@@ -377,4 +377,4 @@ def matrix_exp(m: CMatrix, tol: float = 1e-12) -> CMatrix:
             break
     for _ in range(s):
         result = result @ result
-    return CMatrix(result.tolist(), mode="float")
+    return result

@@ -138,6 +138,9 @@ class Quaternion:
                 self.y == other.y and self.z == other.z)
 
     def __hash__(self) -> int:
+        # a real quaternion equals its real part, so it hashes like it
+        if self.x.is_zero() and self.y.is_zero() and self.z.is_zero():
+            return hash(self.t)
         return hash((self.t, self.x, self.y, self.z))
 
     def embed(self) -> list[list[ExactComplex]]:

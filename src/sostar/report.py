@@ -55,6 +55,11 @@ def _jsonable(value):
         return value
     if hasattr(value, "to_json"):
         return value.to_json()
+    if getattr(value, "ndim", None) == 2:  # float matrix (numpy array)
+        rows, cols = value.shape
+        return {"rows": rows, "cols": cols, "mode": "float",
+                "entries": [{"re": float(e.real), "im": float(e.imag)}
+                            for e in value.flat]}
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, (list, tuple)):

@@ -158,6 +158,9 @@ class ExactScalar:
                 self.c == other.c and self.d == other.d)
 
     def __hash__(self) -> int:
+        # a rational value equals its Fraction (and int), so it hashes like one
+        if not (self.b or self.c or self.d):
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     def sign(self) -> int:
@@ -345,6 +348,9 @@ class ExactComplex:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
+        # a real value equals its real part, so it hashes like it
+        if self.im.is_zero():
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:

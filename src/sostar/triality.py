@@ -26,7 +26,7 @@ from .clifford import PAIRS, SpinBasisSet, spin26_generators
 from .hmatrix import CMatrix
 from .liealg import COMPLEX_EXACT, LieBasis
 from .report import VerificationReport
-from .scalars import ExactComplex, ExactScalar
+from .scalars import ExactComplex
 
 B_PRIME: list[tuple[int, int]] = [(0, 1), (2, 3), (4, 5), (6, 7)]
 
@@ -53,25 +53,22 @@ VECTOR_SIGNS: dict[tuple[int, int], int] = {
 _NEXT_NAME = {"L": "V", "V": "R", "R": "L"}
 
 
-def _c(re=0, im=0) -> ExactComplex:
-    return ExactComplex(ExactScalar(re), ExactScalar(im))
-
-
 def h_matrix() -> CMatrix:
     """The real quartet transition matrix; cubes to the identity."""
     h = Fraction(1, 2)
     rows = [[-1, -1, 1, 1], [1, 1, 1, 1], [-1, 1, 1, -1], [-1, 1, -1, 1]]
-    return CMatrix([[_c(Fraction(v) * h) for v in row] for row in rows])
+    return CMatrix([[Fraction(v) * h for v in row] for row in rows])
 
 
 def g_matrix() -> CMatrix:
     """The complex quartet transition matrix; cubes to the identity."""
     h = Fraction(1, 2)
+    ih = ExactComplex(0, h)
     rows = [
-        [_c(-h), _c(-h), _c(0, h), _c(0, -h)],
-        [_c(h), _c(h), _c(0, h), _c(0, -h)],
-        [_c(0, h), _c(0, -h), _c(h), _c(h)],
-        [_c(0, -h), _c(0, h), _c(h), _c(h)],
+        [-h, -h, ih, -ih],
+        [h, h, ih, -ih],
+        [ih, -ih, h, h],
+        [-ih, ih, h, h],
     ]
     return CMatrix(rows)
 
@@ -107,11 +104,11 @@ def triality_setup() -> TrialityQuartets:
 
 
 def change_of_basis_u() -> CMatrix:
-    return CMatrix.diag([_c(0, 1), _c(0, 1)] + [_c(1)] * 6)
+    return CMatrix.diag([ExactComplex(0, 1)] * 2 + [1] * 6)
 
 
 def change_of_basis_p() -> CMatrix:
-    return CMatrix.diag([_c(-1)] + [_c(1)] * 7)
+    return CMatrix.diag([-1] + [1] * 7)
 
 
 def transformed_spin_reps(spin: SpinBasisSet | None = None) -> tuple[SpinRep, SpinRep]:
@@ -157,7 +154,7 @@ def apply_triality(quartets: TrialityQuartets, rep: SpinRep) -> SpinRep:
 
 
 def signature_form_26() -> CMatrix:
-    return CMatrix.diag([_c(1), _c(1)] + [_c(-1)] * 6)
+    return CMatrix.diag([1, 1] + [-1] * 6)
 
 
 def is_real_matrix(m: CMatrix) -> bool:

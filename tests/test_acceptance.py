@@ -17,12 +17,12 @@ from sostar.bases import (basis_sostar4_A, basis_sostar6_complex,
 from sostar.clifford import (PAIRS, check_sostar8_structure, cl7_basis,
                              cl26_basis, dictionary_matrix, sostar8_generic,
                              standard_quaternionic_structure, theta_to_a)
-from sostar.hmatrix import CMatrix, HMatrix
+from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
 from sostar.liealg import bracket, commutant_dimension, compact_generator_count, matrix_exp
 from sostar.quaternion import Quaternion
 from sostar import linalg
 from sostar.isogeny import verify_tables
-from sostar.scalars import ExactScalar
+from sostar.scalars import ExactComplex, ExactScalar
 from sostar.triality import apply_triality, triality_setup
 
 TOL = 1e-9
@@ -50,10 +50,10 @@ def test_criterion_02_center_witnesses():
     su31 = basis_su31()
     so6c = basis_sostar6_complex()
     factor = math.sqrt(6.0) * math.pi
-    up = matrix_exp(su31.generators[14].to_float().scale(factor))
-    assert up.is_close(CMatrix.diag([1j] * 4, mode="float"), TOL)
-    down = matrix_exp(so6c.generators[14].to_float().scale(factor))
-    assert down.is_close(CMatrix.diag([-1] * 6, mode="float"), TOL)
+    up = matrix_exp(su31.generators[14].to_numpy() * factor)
+    assert max_abs_diff(up, CMatrix.diag([ExactComplex(0, 1)] * 4).to_numpy()) <= TOL
+    down = matrix_exp(so6c.generators[14].to_numpy() * factor)
+    assert max_abs_diff(down, CMatrix.diag([-1] * 6).to_numpy()) <= TOL
     _ok(2, "exp(sqrt6 pi s15) = i I_4 and exp(sqrt6 pi a15) = -I_6 within 1e-9")
 
 
@@ -64,12 +64,12 @@ def test_criterion_03_double_cover_kernel():
         for j in range(3, 6):
             assert bracket(a_basis.generators[i], a_basis.generators[j]).is_zero()
     two_pi = 2 * math.pi
-    u1 = matrix_exp(s_basis.generators[0].to_float().scale(two_pi))
-    u5 = matrix_exp(s_basis.generators[4].to_float().scale(two_pi))
-    r1 = matrix_exp(a_basis.generators[0].embed().to_float().scale(two_pi))
-    r5 = matrix_exp(a_basis.generators[4].embed().to_float().scale(two_pi))
-    assert (u1 @ u5).is_close(CMatrix.diag([-1] * 4, mode="float"), TOL)
-    assert (r1 @ r5).is_close(CMatrix.identity(4, mode="float"), TOL)
+    u1 = matrix_exp(s_basis.generators[0].to_numpy() * two_pi)
+    u5 = matrix_exp(s_basis.generators[4].to_numpy() * two_pi)
+    r1 = matrix_exp(a_basis.generators[0].embed().to_numpy() * two_pi)
+    r5 = matrix_exp(a_basis.generators[4].embed().to_numpy() * two_pi)
+    assert max_abs_diff(u1 @ u5, CMatrix.diag([-1] * 4).to_numpy()) <= TOL
+    assert max_abs_diff(r1 @ r5, CMatrix.identity(4).to_numpy()) <= TOL
     _ok(3, "U1 U5 = -I_4, R1 R5 = I_4 within 1e-9; cross-commutators vanish "
            "exactly")
 

@@ -54,6 +54,20 @@ def test_verify_rejects_bad_tolerance():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "1", "0"])
+def test_verify_rejects_unbounded_tolerance(tol, capsys):
+    """A tolerance that is not finite or above the cap would let every float
+    witness pass; the run is refused before any suite starts."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "sostar2", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_verify_accepts_the_tolerance_cap(capsys):
+    assert cli.main(["verify", "--suite", "sostar2", "--tol", str(cli.MAX_TOL)]) == 0
+
+
 def test_export_su31(capsys):
     assert cli.main(["export", "--family", "su31"]) == 0
     doc = json.loads(capsys.readouterr().out)

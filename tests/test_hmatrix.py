@@ -6,7 +6,8 @@ import pytest
 from sostar.bases import generic_basis, SP_STAR, SO_STAR
 from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
                             i_pq, is_sostar_algebra, is_sostar_group,
-                            is_spstar_algebra, is_spstar_group,
+                            is_sostar_group_embedded, is_spstar_algebra,
+                            is_spstar_group, is_su_group_embedded, max_abs_diff,
                             quaternionic_structure_commutant_check)
 from sostar.quaternion import Q_I, Q_J, Quaternion
 from sostar.scalars import ExactComplex
@@ -176,13 +177,21 @@ def test_quaternionic_structure_check_examples():
         quaternionic_structure_commutant_check(diag_i1, not_a_structure)
 
 
-def test_mode_mixing_is_an_error():
-    exact = CMatrix.identity(2)
-    floaty = CMatrix.identity(2, mode="float")
+def test_embedded_float_membership_can_fail():
+    """The float predicates accept known group elements and reject a scaled
+    element, a wrong determinant and a matrix of NaNs."""
+    import numpy as np
+    j = HMatrix([[Q_J]]).embed().to_numpy()  # exp(pi/2 j), an SO*(2) element
+    assert is_sostar_group_embedded(j)
+    assert not is_sostar_group_embedded(2 * j)
+    assert not is_sostar_group_embedded(np.full((2, 2), np.nan))
+    assert is_su_group_embedded(np.diag([1j] * 4), 3, 1)
+    assert not is_su_group_embedded(np.diag([1j] * 3 + [1]), 3, 1)
     with pytest.raises(ValueError):
-        exact @ floaty
+        is_sostar_group_embedded(np.eye(3))
+    assert max_abs_diff(j, -j) == 2.0
     with pytest.raises(ValueError):
-        exact + floaty
+        max_abs_diff(np.eye(2), np.eye(3))
 
 
 def test_shape_errors():
@@ -198,7 +207,3 @@ def test_json_round_trip():
     assert HMatrix.from_json(m.to_json()) == m
     c = m.embed()
     assert CMatrix.from_json(c.to_json()) == c
-    f = c.to_float()
-    back = CMatrix.from_json(f.to_json())
-    assert back.mode == "float"
-    assert back.max_abs_diff(f) == 0.0

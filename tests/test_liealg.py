@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
-from sostar.hmatrix import CMatrix, HMatrix
+from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
 from sostar.liealg import (COMPLEX_EXACT, LieBasis, bracket,
                            commutant_dimension, compact_generator_count,
                            killing, matrix_exp, structure_constants)
@@ -125,22 +125,23 @@ def test_su31_tensor_equals_both_sostar6_tensors(su31, so6_quat, so6_complex):
 
 
 def test_matrix_exp_identity():
-    zero = CMatrix.zeros(3, 3, mode="float")
-    assert matrix_exp(zero).is_close(CMatrix.identity(3, mode="float"), 1e-15)
+    zero = CMatrix.zeros(3, 3).to_numpy()
+    assert max_abs_diff(matrix_exp(zero), CMatrix.identity(3).to_numpy()) <= 1e-15
 
 
 def test_matrix_exp_rotation():
     theta = math.pi / 3
-    gen = HMatrix([[Q_J]]).embed().to_float().scale(theta)
+    gen = HMatrix([[Q_J]]).embed().to_numpy() * theta
     rot = matrix_exp(gen)
-    expected = CMatrix([[math.cos(theta), -math.sin(theta)],
-                        [math.sin(theta), math.cos(theta)]], mode="float")
-    assert rot.is_close(expected, 1e-12)
+    expected = [[math.cos(theta), -math.sin(theta)],
+                [math.sin(theta), math.cos(theta)]]
+    assert max_abs_diff(rot, expected) <= 1e-12
 
 
 def test_matrix_exp_center_witness(su31):
-    m = su31.generators[14].to_float().scale(math.sqrt(6.0) * math.pi)
-    assert matrix_exp(m).is_close(CMatrix.diag([1j] * 4, mode="float"), 1e-9)
+    m = su31.generators[14].to_numpy() * (math.sqrt(6.0) * math.pi)
+    target = CMatrix.diag([ExactComplex(0, 1)] * 4).to_numpy()
+    assert max_abs_diff(matrix_exp(m), target) <= 1e-9
 
 
 def test_matrix_exp_inverse_property():
@@ -152,9 +153,9 @@ def test_matrix_exp_inverse_property():
         for g in basis.generators:
             term = g.scale(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))))
             elem = term if elem is None else elem + term
-        m = elem.embed().to_float()
+        m = elem.embed().to_numpy()
         prod = matrix_exp(m, tol) @ matrix_exp(-m, tol)
-        assert prod.is_close(CMatrix.identity(4, mode="float"), 10 * tol)
+        assert max_abs_diff(prod, CMatrix.identity(4).to_numpy()) <= 10 * tol
 
 
 def test_matrix_exp_against_scipy():
@@ -162,7 +163,7 @@ def test_matrix_exp_against_scipy():
     import numpy as np
     rng = np.random.default_rng(31)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    ours = matrix_exp(CMatrix(a.tolist(), mode="float")).to_numpy()
+    ours = matrix_exp(a)
     theirs = scipy_linalg.expm(a)
     assert np.max(np.abs(ours - theirs)) < 1e-10
 

@@ -8,6 +8,13 @@ from sostar.scalars import ExactComplex, ExactScalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 quats = st.builds(Quaternion, rationals, rationals, rationals, rationals)
+small = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2)])
+mixed_values = st.one_of(
+    small,
+    st.builds(ExactScalar, small, small),
+    st.builds(Quaternion, st.builds(ExactScalar, small, small)),
+    st.builds(Quaternion, small, small, small, small),
+)
 
 
 def test_defining_relations():
@@ -116,3 +123,13 @@ def test_scale_uses_central_scalars():
     assert q.scale(Fraction(1, 2)) == Quaternion(Fraction(1, 2), 1,
                                                  Fraction(3, 2), 2)
     assert q.scale(ExactScalar.sqrt2()).norm_sq() == q.norm_sq() * ExactScalar(2)
+
+
+@given(mixed_values, mixed_values)
+def test_equal_values_hash_equal(u, v):
+    if u == v:
+        assert hash(u) == hash(v)
+
+
+def test_real_quaternion_collapses_with_its_real_part():
+    assert len({Quaternion(3), ExactScalar(3), 3}) == 1

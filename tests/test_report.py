@@ -55,3 +55,17 @@ def test_report_serialization_shape():
 def test_report_exact_tolerance_tag():
     report = VerificationReport(claim_id="y")
     assert report.to_json_dict()["tolerance"] == "exact"
+
+
+def test_float_matrix_witness_serialization_is_pinned():
+    """A float matrix witness (a complex numpy array) keeps the report's
+    float-matrix shape: row-major re/im entries, 17 digits, signed zeros."""
+    import numpy as np
+    m = np.array([[0.5000000000000001, -0.0], [1j, 2.0]], dtype=complex)
+    report = VerificationReport(claim_id="float", tolerance_used=1e-9)
+    report.check("witness", True, m)
+    value = report.to_json_dict()["witnesses"][0]["value"]
+    assert dumps(value) == (
+        '{"rows":2,"cols":2,"mode":"float","entries":['
+        '{"re":0.50000000000000011,"im":0.0},{"re":-0.0,"im":0.0},'
+        '{"re":0.0,"im":1.0},{"re":2.0,"im":0.0}]}')

@@ -115,3 +115,28 @@ def test_complex_norm_is_conj_product():
     prod = u * u.conj()
     assert prod.im.is_zero()
     assert prod.re == u.norm_sq()
+
+
+# Few distinct coordinates, so that equal values of different types (int,
+# Fraction, ExactScalar, ExactComplex) come up often.
+small = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2)])
+mixed_values = st.one_of(
+    small,
+    small.filter(lambda f: f.denominator == 1).map(int),
+    st.builds(ExactScalar, small),
+    st.builds(ExactScalar, small, small, small, small),
+    st.builds(ExactComplex, small),
+    st.builds(ExactComplex, st.builds(ExactScalar, small, small), small),
+)
+
+
+@given(mixed_values, mixed_values)
+def test_equal_values_hash_equal(u, v):
+    if u == v:
+        assert hash(u) == hash(v)
+
+
+def test_equal_values_collapse_in_a_set():
+    assert len({ExactScalar(2), 2, Fraction(2), ExactComplex(2)}) == 1
+    assert len({ExactScalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({ExactScalar(1, 1), ExactComplex(ExactScalar(1, 1))}) == 1
