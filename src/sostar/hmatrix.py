@@ -2,9 +2,10 @@
 for the quaternionic matrix groups.
 
 HMatrix entries are exact quaternions and CMatrix entries are exact complex
-numbers; neither ever rounds.  Float matrices, which only exponentials
-produce, are complex numpy arrays: `CMatrix.to_numpy` is the one crossing
-from exact to float, and every float comparison takes an explicit tolerance.
+numbers; neither ever rounds, and their products skip zero entries.  Float
+matrices, which only exponentials produce, are complex numpy arrays:
+`CMatrix.to_numpy` is the one crossing from exact to float, and every float
+comparison takes an explicit tolerance.
 
 Conventions:
 
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
-from .scalars import ExactComplex, ExactScalar
+from .scalars import C_ZERO, ExactComplex, ExactScalar
 
 DEFAULT_TOL = 1e-9
 
@@ -44,6 +45,27 @@ def _as_excomplex(x) -> ExactComplex:
     if isinstance(x, (int, Fraction, ExactScalar)):
         return ExactComplex(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact complex entry")
+
+
+def _sparse_product(left, right, zero) -> list[list]:
+    """Entries of left @ right, accumulating only products of nonzero entries.
+
+    Each row of `right` is reduced once to its nonzero (column, entry) pairs,
+    so a zero on either side costs no multiplication.
+    """
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch in matrix product")
+    right_nonzero = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                     for row in right.entries]
+    out = []
+    for left_row in left.entries:
+        acc = [zero] * right.cols
+        for a, pairs in zip(left_row, right_nonzero):
+            if pairs and not a.is_zero():
+                for j, b in pairs:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
 
 class HMatrix:
@@ -101,25 +123,7 @@ class HMatrix:
         return HMatrix([[-e for e in row] for row in self.entries])
 
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = other.cols
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(cols):
-                acc = Q_ZERO
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return HMatrix(out)
+        return HMatrix(_sparse_product(self, other, Q_ZERO))
 
     def scale(self, s) -> "HMatrix":
         """Multiply every entry by a central (real field) scalar."""
@@ -269,24 +273,7 @@ class CMatrix:
         return CMatrix([[-e for e in row] for row in self.entries])
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ExactComplex(0)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return CMatrix(out)
+        return CMatrix(_sparse_product(self, other, C_ZERO))
 
     def scale(self, s) -> "CMatrix":
         s = _as_excomplex(s)
@@ -426,12 +413,11 @@ def is_sostar_group(o: HMatrix, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_sostar_algebra(a: HMatrix) -> bool:
-    """Membership in so*(2n): rev_transpose(a) = -a exactly, real trace part 0."""
+    """Membership in so*(2n): rev_transpose(a) = -a exactly.  That makes each
+    diagonal entry a multiple of j, so the real part of the trace vanishes."""
     if a.rows != a.cols:
         raise ValueError("algebra membership requires a square matrix")
-    if not (a.rev_transpose() + a).is_zero():
-        return False
-    return a.trace().real_part().is_zero()
+    return (a.rev_transpose() + a).is_zero()
 
 
 def is_spstar_group(a: HMatrix, p: int, q: int, tol: float = DEFAULT_TOL) -> bool:

@@ -19,7 +19,7 @@ from .bases import (basis_sostar4_A, basis_sostar6_complex, basis_sostar6_quat,
 from .hmatrix import (CMatrix, DEFAULT_TOL, is_sostar_group_embedded,
                       is_su_group_embedded, max_abs_diff)
 from .liealg import (bracket, commutant_dimension, compact_generator_count,
-                     killing, matrix_exp)
+                     matrix_exp)
 from .report import VerificationReport
 
 
@@ -215,7 +215,7 @@ def verify_tables() -> VerificationReport:
         tag = f"{family} n={n}" + (f" (p,q)=({p},{q})" if family == SP_STAR else "")
         rep.check(f"{tag}: dimension {expected['dim']}",
                   basis.dim == expected["dim"], basis.dim)
-        kd = killing(basis)
+        kd = basis.killing()
         got_sig = (kd.signature[0], kd.signature[1])
         want_sig = (expected["n_minus"], expected["n_plus"])
         rep.check(f"{tag}: Killing signature {want_sig}", got_sig == want_sig,

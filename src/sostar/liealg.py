@@ -76,6 +76,7 @@ class LieBasis:
         if linalg.rank(self._coordinate_rows()) != len(gens):
             raise ValueError("generators are linearly dependent over the reals")
         self._tensor: StructureTensor | None = None
+        self._killing: KillingData | None = None
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -104,9 +105,14 @@ class LieBasis:
             self._tensor = structure_constants(self)
         return self._tensor
 
+    def killing(self) -> "KillingData":
+        if self._killing is None:
+            self._killing = killing(self)
+        return self._killing
+
     def to_json(self) -> dict:
         tensor = self.structure_constants()
-        kd = killing(self)
+        kd = self.killing()
         return {
             "name": self.name,
             "realization": self.realization,
@@ -309,7 +315,7 @@ def compact_generator_count(basis: LieBasis) -> int:
     Equals n_minus of the Killing signature whenever the Killing form is
     nondegenerate.  Raises if some direction cannot be classified.
     """
-    kd = killing(basis)
+    kd = basis.killing()
     if kd.signature[2]:
         raise ValueError("invariant form is degenerate: "
                          f"{kd.signature[2]} unclassifiable directions")

@@ -3,7 +3,8 @@
 All routines work generically for any field-like entries supporting
 +, -, *, /, is_zero() (ExactScalar and ExactComplex both qualify).  Matrices
 are plain lists of row lists.  Nothing here ever rounds: pivoting picks the
-first nonzero entry, not the largest.
+first nonzero entry, not the largest.  `rref` updates the row lists in place
+and touches only the pivot row's nonzero columns, so sparse systems are cheap.
 """
 
 from __future__ import annotations
@@ -38,12 +39,18 @@ def rref(rows: list[list], ncols: int | None = None):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _inverse(rows[r][c])
-        rows[r] = [e * inv for e in rows[r]]
+        prow = rows[r]
+        # columns left of c are already zero in the pivot row
+        support = [k for k in range(c, width) if not _is_zero(prow[k])]
+        inv = _inverse(prow[c])
+        for k in support:
+            prow[k] = prow[k] * inv
         for i in range(m):
-            if i != r and not _is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and not _is_zero(row[c]):
+                factor = row[c]
+                for k in support:
+                    row[k] = row[k] - factor * prow[k]
         pivots.append(c)
         r += 1
         if r == m:
@@ -198,7 +205,9 @@ def _sym_swap(m, a, b):
 
 def _sym_add(m, dst, src, factor):
     """Row dst += factor * row src, and the same for columns (congruence)."""
-    n = len(m)
-    m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-    for i in range(n):
-        m[i][dst] = m[i][dst] + factor * m[i][src]
+    for k, y in enumerate(m[src]):
+        if not y.is_zero():
+            m[dst][k] = m[dst][k] + factor * y
+    for row in m:
+        if not row[src].is_zero():
+            row[dst] = row[dst] + factor * row[src]

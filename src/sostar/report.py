@@ -127,9 +127,9 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float in report")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
+    text = f"{x:.17g}"
+    # an integral value prints as bare digits, which JSON reads as an integer
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _escape(s: str) -> str:

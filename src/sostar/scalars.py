@@ -23,12 +23,15 @@ _SQRT6 = math.sqrt(6.0)
 
 RationalLike = Union[int, Fraction]
 
+# Every zero coordinate is this one Fraction, so zero tests are identity tests.
+_F0 = Fraction(0)
+
 
 def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
-        return x
+        return x if x else _F0
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _F0
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -67,10 +70,15 @@ class ExactScalar:
 
     # -- ring/field operations --------------------------------------------
 
+    # a zero operand short-circuits: most entries of the matrices here are 0
     def __add__(self, other) -> "ExactScalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return ExactScalar(self.a + other.a, self.b + other.b,
                            self.c + other.c, self.d + other.d)
 
@@ -83,6 +91,10 @@ class ExactScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
         return ExactScalar(self.a - other.a, self.b - other.b,
                            self.c - other.c, self.d - other.d)
 
@@ -93,10 +105,12 @@ class ExactScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return ZERO
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         # fast path: both rational (the overwhelmingly common case)
-        if not (b1 or c1 or d1 or b2 or c2 or d2):
+        if self.is_rational() and other.is_rational():
             return ExactScalar(a1 * a2)
         return ExactScalar(
             a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
@@ -119,7 +133,7 @@ class ExactScalar:
         """Field inverse by rationalizing with the three Galois conjugates."""
         if self.is_zero():
             raise ZeroDivisionError("ExactScalar division by zero")
-        if not (self.b or self.c or self.d):
+        if self.is_rational():
             return ExactScalar(1 / self.a)
         g2 = self._conj_sqrt2()
         g3 = self._conj_sqrt3()
@@ -142,10 +156,11 @@ class ExactScalar:
     # -- predicates, order, conversions -------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return (self.a is _F0 and self.b is _F0 and self.c is _F0
+                and self.d is _F0)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return self.b is _F0 and self.c is _F0 and self.d is _F0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -159,7 +174,7 @@ class ExactScalar:
 
     def __hash__(self) -> int:
         # a rational value equals its Fraction (and int), so it hashes like one
-        if not (self.b or self.c or self.d):
+        if self.is_rational():
             return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 

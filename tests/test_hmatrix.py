@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sostar.bases import generic_basis, SP_STAR, SO_STAR
 from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
@@ -9,8 +10,8 @@ from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
                             is_sostar_group_embedded, is_spstar_algebra,
                             is_spstar_group, is_su_group_embedded, max_abs_diff,
                             quaternionic_structure_commutant_check)
-from sostar.quaternion import Q_I, Q_J, Quaternion
-from sostar.scalars import ExactComplex
+from sostar.quaternion import Q_I, Q_J, Q_ZERO, Quaternion
+from sostar.scalars import C_ZERO, ExactComplex, ExactScalar
 
 
 def _rand_quat(rng) -> Quaternion:
@@ -207,3 +208,87 @@ def test_json_round_trip():
     assert HMatrix.from_json(m.to_json()) == m
     c = m.embed()
     assert CMatrix.from_json(c.to_json()) == c
+
+
+# -- the zero-skipping product against a naive triple loop ---------------------
+
+# zero, rational, single-radical and dense irrational field elements
+_scalar = st.sampled_from([
+    ExactScalar(0), ExactScalar(1), ExactScalar(Fraction(-1, 2)), ExactScalar(3),
+    ExactScalar.sqrt2(), ExactScalar(0, 0, Fraction(-2, 3)),
+    ExactScalar(1, 0, 0, 1), ExactScalar(Fraction(1, 2), -1, Fraction(2, 3), 2),
+    ExactScalar(-1, Fraction(1, 4), 0, Fraction(-3, 4)),
+])
+_ENTRIES = {
+    HMatrix: (Q_ZERO, st.builds(Quaternion, _scalar, _scalar, _scalar, _scalar)),
+    CMatrix: (C_ZERO, st.builds(ExactComplex, _scalar, _scalar)),
+}
+
+
+@st.composite
+def _product_operands(draw, cls):
+    """A compatible pair (a, b), sparse or dense, possibly with a zero row of
+    a and a zero column of b."""
+    zero, entry = _ENTRIES[cls]
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    if draw(st.booleans()):  # sparse: about half the entries vanish
+        entry = st.one_of(st.just(zero), entry)
+
+    def grid(n, m):
+        return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+    a, b = grid(rows, inner), grid(inner, cols)
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = [zero] * inner
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in b:
+            row[j] = zero
+    return cls(a), cls(b)
+
+
+def _naive_product(a, b, zero):
+    return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), zero)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(deadline=None)
+@given(_product_operands(HMatrix))
+def test_hmatrix_product_matches_naive_loop(pair):
+    a, b = pair
+    product = a @ b
+    reference = HMatrix(_naive_product(a, b, Q_ZERO))
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product == reference and hash(product) == hash(reference)
+
+
+@settings(deadline=None)
+@given(_product_operands(CMatrix))
+def test_cmatrix_product_matches_naive_loop(pair):
+    a, b = pair
+    product = a @ b
+    reference = CMatrix(_naive_product(a, b, C_ZERO))
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product == reference and hash(product) == hash(reference)
+
+
+def test_product_with_a_zero_factor_is_zero():
+    a = _rand_hmatrix(random.Random(3), 3)
+    assert (a @ HMatrix.zeros(3, 2)) == HMatrix.zeros(3, 2)
+    assert (HMatrix.zeros(1, 3) @ a).is_zero()
+    assert (a.embed() @ CMatrix.zeros(6, 6)) == CMatrix.zeros(6, 6)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES[HMatrix][1], min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_sostar_algebra_condition_forces_imaginary_trace(grid):
+    # rev_transpose(s) = -s puts a multiple of j on the diagonal, which is why
+    # is_sostar_algebra needs no separate trace test
+    a = HMatrix(grid)
+    s = a - a.rev_transpose()
+    assert is_sostar_algebra(s)
+    for i in range(s.rows):
+        d = s.entries[i][i]
+        assert d.t.is_zero() and d.x.is_zero() and d.z.is_zero()
+    assert s.trace().real_part().is_zero()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
+from sostar import liealg
 from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
 from sostar.liealg import (COMPLEX_EXACT, LieBasis, bracket,
                            commutant_dimension, compact_generator_count,
@@ -47,6 +48,47 @@ def test_closure_error_for_non_closed_span():
     basis = LieBasis("open_span", "quaternionic", [e12, e21])
     with pytest.raises(ValueError, match="not closed"):
         structure_constants(basis)
+
+
+def _dense_recombination(gens):
+    """g_i + sum over j > i of c_ij g_j with irrational c_ij: a unit triangular
+    change of basis, so the span is unchanged and every coordinate fills in."""
+    coeffs = (ExactScalar(1, 1), ExactScalar(Fraction(-1, 2), 0, 1),
+              ExactScalar(0, Fraction(1, 3), 0, -1))
+    out = []
+    for i, g in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            g = g + gens[j].scale(coeffs[(i + j) % 3])
+        out.append(g)
+    return out
+
+
+def test_dense_irrational_basis_closes_and_its_truncation_does_not():
+    # positive and negative control for the sparse kernels on dense data
+    gens = _dense_recombination(generic_basis(SO_STAR, 2).generators)
+    full = LieBasis("mixed", "quaternionic", gens)
+    assert full.structure_constants().jacobi_holds()
+    assert full.killing().signature == (4, 2, 0)
+    open_span = LieBasis("open", "quaternionic", gens[:-1])
+    for basis in (open_span, open_span.embedded()):
+        with pytest.raises(ValueError, match="not closed"):
+            structure_constants(basis)
+
+
+def test_killing_data_is_computed_once_per_basis(monkeypatch):
+    calls = []
+    original = liealg.killing
+    monkeypatch.setattr(liealg, "killing",
+                        lambda basis: calls.append(basis) or original(basis))
+    basis = generic_basis(SO_STAR, 2)
+    assert basis.killing() is basis.killing()
+    assert compact_generator_count(basis) == 4
+    assert basis.to_json()["killing_signature"] == [4, 2, 0]
+    assert calls == [basis]
+    # nothing is shared between basis objects, even with equal generators
+    twin = generic_basis(SO_STAR, 2)
+    assert twin.killing().signature == basis.killing().signature
+    assert calls == [basis, twin]
 
 
 def test_dependent_generators_rejected():

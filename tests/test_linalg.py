@@ -1,0 +1,154 @@
+"""Differential tests of the sparse elimination in `linalg` against a textbook
+Gauss-Jordan reference that rebuilds every row in full."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sostar import linalg
+from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar
+
+# zero, rational, single-radical and dense irrational field elements
+_scalar = st.sampled_from([
+    ExactScalar(0), ExactScalar(1), ExactScalar(Fraction(-1, 2)), ExactScalar(3),
+    ExactScalar.sqrt2(), ExactScalar(0, 0, Fraction(-2, 3)),
+    ExactScalar(1, 0, 0, 1), ExactScalar(Fraction(1, 2), -1, Fraction(2, 3), 2),
+    ExactScalar(-1, Fraction(1, 4), 0, Fraction(-3, 4)),
+])
+_FIELDS = {"real": (ZERO, _scalar),
+           "complex": (C_ZERO, st.builds(ExactComplex, _scalar, _scalar))}
+
+
+def _reference_rref(rows, ncols=None):
+    """Gauss-Jordan with first-nonzero pivoting; returns (pivots, new rows)."""
+    rows = [list(r) for r in rows]
+    m, width = len(rows), len(rows[0])
+    ncols = width if ncols is None else ncols
+    pivots, r = [], 0
+    for c in range(ncols):
+        p = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, rows
+
+
+def _combination(coeffs, vectors, zero):
+    return [sum((c * v[i] for c, v in zip(coeffs, vectors)), zero)
+            for i in range(len(vectors[0]))]
+
+
+@st.composite
+def _matrices(draw, field, max_rows=5, max_cols=6):
+    """A matrix, sparse or dense, whose last row may depend on the others."""
+    zero, entry = _FIELDS[field]
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    if draw(st.booleans()):  # sparse: about half the entries vanish
+        entry = st.one_of(st.just(zero), entry)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m > 2 and draw(st.booleans()):
+        rows[-1] = _combination([draw(entry), draw(entry)], rows[:2], zero)
+    return rows
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_rref_matches_reference(field, data):
+    rows = data.draw(_matrices(field))
+    ncols = data.draw(st.integers(1, len(rows[0])))
+    want_pivots, want_rows = _reference_rref(rows, ncols)
+    work = [list(r) for r in rows]
+    assert linalg.rref(work, ncols=ncols) == want_pivots
+    assert work == want_rows
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_rank_matches_reference(field, data):
+    rows = data.draw(_matrices(field))
+    before = [list(r) for r in rows]
+    assert linalg.rank(rows) == len(_reference_rref(rows)[0])
+    assert rows == before  # rank works on a copy
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_solve_batch_matches_reference(data):
+    columns = data.draw(_matrices("real", max_rows=4, max_cols=6))
+    k, m = len(columns), len(columns[0])
+    entry = _FIELDS["real"][1]
+    targets = [_combination([data.draw(entry) for _ in range(k)], columns, ZERO)
+               for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        targets.append([data.draw(entry) for _ in range(m)])
+    system = [[col[i] for col in columns] + [t[i] for t in targets]
+              for i in range(m)]
+    pivots, reduced = _reference_rref(system, k)
+    if len(pivots) < k:
+        with pytest.raises(ValueError, match="dependent"):
+            linalg.solve_batch(columns, targets)
+    elif any(not reduced[i][k + j].is_zero()
+             for j in range(len(targets)) for i in range(k, m)):
+        with pytest.raises(ValueError, match="outside the span"):
+            linalg.solve_batch(columns, targets)
+    else:
+        want = [[reduced[i][k + j] for i in range(k)] for j in range(len(targets))]
+        assert linalg.solve_batch(columns, targets) == want
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from([-2, -1, 0, 1, 3]), min_size=1, max_size=5),
+       st.data())
+def test_congruence_signature_obeys_sylvester(diagonal, data):
+    # S = P^T D P with P = U L (unit upper times unit lower triangular) has
+    # the inertia of D; zero pivots and zero diagonals come up along the way
+    n = len(diagonal)
+    entry = st.one_of(st.just(ZERO), _scalar)
+    u, l = ([[ExactScalar(1) if i == j else data.draw(entry) if below(i, j)
+              else ZERO for j in range(n)] for i in range(n)]
+            for below in (lambda i, j: i < j, lambda i, j: i > j))
+    p = [[sum((u[i][k] * l[k][j] for k in range(n)), ZERO) for j in range(n)]
+         for i in range(n)]
+    s = [[sum((p[k][i] * diagonal[k] * p[k][j] for k in range(n)), ZERO)
+          for j in range(n)] for i in range(n)]
+    want = (sum(d < 0 for d in diagonal), sum(d > 0 for d in diagonal),
+            sum(d == 0 for d in diagonal))
+    assert linalg.congruence_signature(s) == want
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.sampled_from([-1, 0, 0, 0, 1, 2]), min_size=n * n, max_size=n * n)))
+def test_congruence_signature_matches_eigenvalue_signs(cells):
+    # small integer forms, often with a zero diagonal; a nonzero eigenvalue is
+    # at least 1/8^3 in size here (the product of the nonzero ones is an
+    # integer and each is at most 8), so float signs are reliable
+    import numpy
+    n = int(len(cells) ** 0.5)
+    m = [[cells[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    ev = numpy.linalg.eigvalsh(numpy.array(m, dtype=float))
+    want = (int((ev < -1e-6).sum()), int((ev > 1e-6).sum()),
+            int((abs(ev) <= 1e-6).sum()))
+    exact = [[ExactScalar(x) for x in row] for row in m]
+    assert linalg.congruence_signature(exact) == want
+
+
+def test_congruence_signature_of_hyperbolic_forms():
+    # an all-zero diagonal needs the off-diagonal mixing step
+    assert linalg.congruence_signature([[ZERO, ExactScalar(1)],
+                                        [ExactScalar(1), ZERO]]) == (1, 1, 0)
+    r2 = ExactScalar.sqrt2()
+    assert linalg.congruence_signature([[ZERO, r2, ZERO], [r2, ZERO, ZERO],
+                                        [ZERO, ZERO, ZERO]]) == (1, 1, 1)

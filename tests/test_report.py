@@ -23,6 +23,20 @@ def test_float_formatting_17_digits():
     assert json.loads(dumps(1.0 / 3.0)) == 1.0 / 3.0
 
 
+@pytest.mark.parametrize("value, text", [
+    (1e16, "10000000000000000.0"),
+    (2.5e16, "25000000000000000.0"),
+    (-1e16, "-10000000000000000.0"),
+    (1e17, "1e+17"),
+    (-0.0, "-0.0"),
+    (123.0, "123.0"),
+])
+def test_integral_floats_stay_json_floats(value, text):
+    assert dumps(value) == text
+    parsed = json.loads(dumps([value]))[0]
+    assert type(parsed) is float and parsed == value
+
+
 def test_nonfinite_floats_rejected():
     with pytest.raises(ValueError):
         dumps(float("nan"))

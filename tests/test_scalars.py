@@ -140,3 +140,33 @@ def test_equal_values_collapse_in_a_set():
     assert len({ExactScalar(2), 2, Fraction(2), ExactComplex(2)}) == 1
     assert len({ExactScalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
     assert len({ExactScalar(1, 1), ExactComplex(ExactScalar(1, 1))}) == 1
+
+
+# Zero short-circuits: sums and products with a zero operand skip the
+# coordinate arithmetic, so check they return the same value and hash.
+
+@given(scalars)
+def test_zero_operand_identities(x):
+    zero = ExactScalar(0)
+    assert x + zero == x and zero + x == x
+    assert x - zero == x and zero - x == -x
+    assert zero * x == zero and x * zero == zero
+    assert x + 0 == x and 0 * x == 0
+    assert hash(x + zero) == hash(x) == hash(x - zero)
+    assert hash(zero * x) == hash(zero) == hash(0)
+
+
+@given(scalars)
+def test_cancellation_gives_the_zero(x):
+    # zero tests compare against one shared zero coordinate, so every way of
+    # reaching zero must produce it
+    for z in (x - x, x + (-x), ExactScalar.from_json((x - x).to_json())):
+        assert z.is_zero() and not z
+        assert z == ExactScalar(0) and hash(z) == hash(0)
+        assert (z + x) == x and (z * x).is_zero()
+
+
+def test_zero_fractions_are_zero():
+    assert ExactScalar(Fraction(0, 5), Fraction(0), 0, -Fraction(0)).is_zero()
+    assert ExactScalar(1, Fraction(0, 7)).is_rational()
+    assert not ExactScalar(0, 0, 0, Fraction(1, 9)).is_zero()
