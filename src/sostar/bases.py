@@ -30,23 +30,8 @@ from .scalars import ExactComplex, ExactScalar
 _HALF = Fraction(1, 2)
 
 
-def _h(n: int, entries: dict) -> HMatrix:
-    """HMatrix from {(row, col): Quaternion} with zero fill."""
-    grid = [[Quaternion(0)] * n for _ in range(n)]
-    for (r, c), q in entries.items():
-        grid[r][c] = q
-    return HMatrix(grid)
-
-
 def _q(t=0, x=0, y=0, z=0) -> Quaternion:
     return Quaternion(t, x, y, z)
-
-
-def _cmat(n: int, entries: dict) -> CMatrix:
-    grid = [[ExactComplex(0)] * n for _ in range(n)]
-    for (r, c), v in entries.items():
-        grid[r][c] = v
-    return CMatrix(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +44,12 @@ def basis_sostar4_A() -> LieBasis:
     su(2) and sl(2,R) subalgebras."""
     h = _HALF
     gens = [
-        _h(2, {(0, 1): _q(h), (1, 0): _q(-h)}),
-        _h(2, {(0, 0): _q(0, 0, h), (1, 1): _q(0, 0, -h)}),
-        _h(2, {(0, 1): _q(0, 0, -h), (1, 0): _q(0, 0, -h)}),
-        _h(2, {(0, 1): _q(0, h), (1, 0): _q(0, -h)}),
-        _h(2, {(0, 0): _q(0, 0, h), (1, 1): _q(0, 0, h)}),
-        _h(2, {(0, 1): _q(0, 0, 0, h), (1, 0): _q(0, 0, 0, -h)}),
+        HMatrix.sparse(2, {(0, 1): _q(h), (1, 0): _q(-h)}),
+        HMatrix.sparse(2, {(0, 0): _q(0, 0, h), (1, 1): _q(0, 0, -h)}),
+        HMatrix.sparse(2, {(0, 1): _q(0, 0, -h), (1, 0): _q(0, 0, -h)}),
+        HMatrix.sparse(2, {(0, 1): _q(0, h), (1, 0): _q(0, -h)}),
+        HMatrix.sparse(2, {(0, 0): _q(0, 0, h), (1, 1): _q(0, 0, h)}),
+        HMatrix.sparse(2, {(0, 1): _q(0, 0, 0, h), (1, 0): _q(0, 0, 0, -h)}),
     ]
     return LieBasis("sostar4_A", QUATERNIONIC, gens,
                     [f"A{i}" for i in range(1, 7)])
@@ -76,12 +61,12 @@ def basis_su2_sl2_S() -> LieBasis:
     h = _HALF
     ih = ExactComplex(0, h)
     gens = [
-        _cmat(4, {(0, 1): ih, (1, 0): ih}),
-        _cmat(4, {(0, 1): -h, (1, 0): h}),
-        _cmat(4, {(0, 0): ih, (1, 1): -ih}),
-        _cmat(4, {(2, 3): -h, (3, 2): -h}),
-        _cmat(4, {(2, 3): -h, (3, 2): h}),
-        _cmat(4, {(2, 2): -h, (3, 3): h}),
+        CMatrix.sparse(4, {(0, 1): ih, (1, 0): ih}),
+        CMatrix.sparse(4, {(0, 1): -h, (1, 0): h}),
+        CMatrix.sparse(4, {(0, 0): ih, (1, 1): -ih}),
+        CMatrix.sparse(4, {(2, 3): -h, (3, 2): -h}),
+        CMatrix.sparse(4, {(2, 3): -h, (3, 2): h}),
+        CMatrix.sparse(4, {(2, 2): -h, (3, 3): h}),
     ]
     return LieBasis("su2_sl2_S", COMPLEX_EXACT, gens,
                     [f"S{i}" for i in range(1, 7)])
@@ -109,12 +94,12 @@ def basis_su31() -> LieBasis:
         gens.append(from_blocks([[corner, zero3x1], [zero1x3, zero1x1]]))
     h = _HALF
     ih = ExactComplex(0, h)
-    gens.append(_cmat(4, {(2, 3): -h, (3, 2): -h}))            # s9
-    gens.append(_cmat(4, {(2, 3): ih, (3, 2): -ih}))           # s10
-    gens.append(_cmat(4, {(1, 3): h, (3, 1): h}))              # s11
-    gens.append(_cmat(4, {(1, 3): -ih, (3, 1): ih}))           # s12
-    gens.append(_cmat(4, {(0, 3): -h, (3, 0): -h}))            # s13
-    gens.append(_cmat(4, {(0, 3): ih, (3, 0): -ih}))           # s14
+    gens.append(CMatrix.sparse(4, {(2, 3): -h, (3, 2): -h}))   # s9
+    gens.append(CMatrix.sparse(4, {(2, 3): ih, (3, 2): -ih}))  # s10
+    gens.append(CMatrix.sparse(4, {(1, 3): h, (3, 1): h}))     # s11
+    gens.append(CMatrix.sparse(4, {(1, 3): -ih, (3, 1): ih}))  # s12
+    gens.append(CMatrix.sparse(4, {(0, 3): -h, (3, 0): -h}))   # s13
+    gens.append(CMatrix.sparse(4, {(0, 3): ih, (3, 0): -ih}))  # s14
     iw = ExactComplex(0, ExactScalar(_HALF) / ExactScalar.sqrt6())  # i/(2 sqrt 6)
     gens.append(CMatrix.diag([iw, iw, iw, -3 * iw]))           # s15
     return LieBasis("su31", COMPLEX_EXACT, gens, [f"s{i}" for i in range(1, 16)])
@@ -132,22 +117,23 @@ def basis_sostar6_quat() -> LieBasis:
     w = ExactScalar(h) * inv_s3          # 1/(2 sqrt 3)
     v = ExactScalar(1) / ExactScalar.sqrt6()  # 1/sqrt6 = (1/2) * sqrt2/sqrt3
     gens = [
-        _h(3, {(1, 2): _q(0, 0, h), (2, 1): _q(0, 0, h)}),             # a1
-        _h(3, {(1, 2): _q(h), (2, 1): _q(-h)}),                        # a2
-        _h(3, {(1, 1): _q(0, 0, -h), (2, 2): _q(0, 0, h)}),            # a3
-        _h(3, {(0, 2): _q(0, 0, h), (2, 0): _q(0, 0, h)}),             # a4
-        _h(3, {(0, 2): _q(h), (2, 0): _q(-h)}),                        # a5
-        _h(3, {(0, 1): _q(0, 0, h), (1, 0): _q(0, 0, h)}),             # a6
-        _h(3, {(0, 1): _q(h), (1, 0): _q(-h)}),                        # a7
-        _h(3, {(0, 0): Quaternion(0, 0, ExactScalar(-2) * w),
-               (1, 1): Quaternion(0, 0, w), (2, 2): Quaternion(0, 0, w)}),  # a8
-        _h(3, {(1, 2): _q(0, h), (2, 1): _q(0, -h)}),                  # a9
-        _h(3, {(1, 2): _q(0, 0, 0, h), (2, 1): _q(0, 0, 0, -h)}),      # a10
-        _h(3, {(0, 2): _q(0, h), (2, 0): _q(0, -h)}),                  # a11
-        _h(3, {(0, 2): _q(0, 0, 0, h), (2, 0): _q(0, 0, 0, -h)}),      # a12
-        _h(3, {(0, 1): _q(0, h), (1, 0): _q(0, -h)}),                  # a13
-        _h(3, {(0, 1): _q(0, 0, 0, h), (1, 0): _q(0, 0, 0, -h)}),      # a14
-        HMatrix.diag([Quaternion(0, 0, v)] * 3),                       # a15
+        HMatrix.sparse(3, {(1, 2): _q(0, 0, h), (2, 1): _q(0, 0, h)}),         # a1
+        HMatrix.sparse(3, {(1, 2): _q(h), (2, 1): _q(-h)}),                    # a2
+        HMatrix.sparse(3, {(1, 1): _q(0, 0, -h), (2, 2): _q(0, 0, h)}),        # a3
+        HMatrix.sparse(3, {(0, 2): _q(0, 0, h), (2, 0): _q(0, 0, h)}),         # a4
+        HMatrix.sparse(3, {(0, 2): _q(h), (2, 0): _q(-h)}),                    # a5
+        HMatrix.sparse(3, {(0, 1): _q(0, 0, h), (1, 0): _q(0, 0, h)}),         # a6
+        HMatrix.sparse(3, {(0, 1): _q(h), (1, 0): _q(-h)}),                    # a7
+        HMatrix.sparse(3, {(0, 0): Quaternion(0, 0, ExactScalar(-2) * w),
+                           (1, 1): Quaternion(0, 0, w),
+                           (2, 2): Quaternion(0, 0, w)}),                      # a8
+        HMatrix.sparse(3, {(1, 2): _q(0, h), (2, 1): _q(0, -h)}),              # a9
+        HMatrix.sparse(3, {(1, 2): _q(0, 0, 0, h), (2, 1): _q(0, 0, 0, -h)}),  # a10
+        HMatrix.sparse(3, {(0, 2): _q(0, h), (2, 0): _q(0, -h)}),              # a11
+        HMatrix.sparse(3, {(0, 2): _q(0, 0, 0, h), (2, 0): _q(0, 0, 0, -h)}),  # a12
+        HMatrix.sparse(3, {(0, 1): _q(0, h), (1, 0): _q(0, -h)}),              # a13
+        HMatrix.sparse(3, {(0, 1): _q(0, 0, 0, h), (1, 0): _q(0, 0, 0, -h)}),  # a14
+        HMatrix.diag([Quaternion(0, 0, v)] * 3),                               # a15
     ]
     return LieBasis("sostar6_quat", QUATERNIONIC, gens,
                     [f"a{i}" for i in range(1, 16)])
@@ -220,10 +206,10 @@ def _generic_sostar(n: int) -> LieBasis:
             for name, u in _UNITS.items():
                 # partner forced by rev_transpose(a) = -a: a_ji = -reversion(a_ij)
                 partner = -u.reversion()
-                gens.append(_h(n, {(i, j): u, (j, i): partner}))
+                gens.append(HMatrix.sparse(n, {(i, j): u, (j, i): partner}))
                 labels.append(f"e{i}{j}_{name}")
     for i in range(n):
-        gens.append(_h(n, {(i, i): _UNITS["j"]}))
+        gens.append(HMatrix.sparse(n, {(i, i): _UNITS["j"]}))
         labels.append(f"d{i}_j")
     return LieBasis(f"so_star_n{n}", QUATERNIONIC, gens, labels)
 
@@ -238,11 +224,11 @@ def _generic_spstar(p: int, q: int) -> LieBasis:
                 # partner forced by dagger(a) I_pq + I_pq a = 0:
                 # a_ji = -eta_i eta_j conj(a_ij)
                 partner = u.conj().scale(-eta[i] * eta[j])
-                gens.append(_h(n, {(i, j): u, (j, i): partner}))
+                gens.append(HMatrix.sparse(n, {(i, j): u, (j, i): partner}))
                 labels.append(f"e{i}{j}_{name}")
     for i in range(n):
         for name in ("i", "j", "k"):
-            gens.append(_h(n, {(i, i): _UNITS[name]}))
+            gens.append(HMatrix.sparse(n, {(i, i): _UNITS[name]}))
             labels.append(f"d{i}_{name}")
     return LieBasis(f"sp_star_p{p}q{q}", QUATERNIONIC, gens, labels)
 
@@ -254,13 +240,14 @@ def _generic_slh(n: int) -> LieBasis:
             if i == j:
                 continue
             for name, u in _UNITS.items():
-                gens.append(_h(n, {(i, j): u}))
+                gens.append(HMatrix.sparse(n, {(i, j): u}))
                 labels.append(f"e{i}{j}_{name}")
     for i in range(n):
         for name in ("i", "j", "k"):
-            gens.append(_h(n, {(i, i): _UNITS[name]}))
+            gens.append(HMatrix.sparse(n, {(i, i): _UNITS[name]}))
             labels.append(f"d{i}_{name}")
     for i in range(n - 1):
-        gens.append(_h(n, {(i, i): Quaternion(1), (n - 1, n - 1): Quaternion(-1)}))
+        gens.append(HMatrix.sparse(n, {(i, i): Quaternion(1),
+                                       (n - 1, n - 1): Quaternion(-1)}))
         labels.append(f"d{i}_re")
     return LieBasis(f"sl_H_n{n}", QUATERNIONIC, gens, labels)

@@ -1,11 +1,13 @@
 """Quaternion-valued and complex-valued matrices with the membership predicates
 for the quaternionic matrix groups.
 
-HMatrix entries are exact quaternions and CMatrix entries are exact complex
-numbers; neither ever rounds, and their products skip zero entries.  Float
-matrices, which only exponentials produce, are complex numpy arrays:
-`CMatrix.to_numpy` is the one crossing from exact to float, and every float
-comparison takes an explicit tolerance.
+Both matrix types share one exact, immutable base and differ only in their
+entry type: HMatrix entries are exact quaternions, CMatrix entries exact
+complex numbers (the 2x2 embedding of an HMatrix is a CMatrix).  Neither ever
+rounds, and their products skip zero entries.  Float matrices, which only
+exponentials produce, are complex numpy arrays: `CMatrix.to_numpy` is the one
+crossing from exact to float, and every float comparison takes an explicit
+tolerance, finite and nonnegative.
 
 Conventions:
 
@@ -26,25 +28,9 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
-from .scalars import C_ZERO, ExactComplex, ExactScalar
+from .scalars import C_ONE, C_ZERO, ExactComplex, ExactScalar
 
 DEFAULT_TOL = 1e-9
-
-
-def _as_quat(x) -> Quaternion:
-    if isinstance(x, Quaternion):
-        return x
-    if isinstance(x, (int, Fraction, ExactScalar)):
-        return Quaternion(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a quaternion entry")
-
-
-def _as_excomplex(x) -> ExactComplex:
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, (int, Fraction, ExactScalar)):
-        return ExactComplex(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact complex entry")
 
 
 def _sparse_product(left, right, zero) -> list[list]:
@@ -68,15 +54,25 @@ def _sparse_product(left, right, zero) -> list[list]:
     return out
 
 
-class HMatrix:
-    """n x m matrix of quaternions, immutable, exact."""
+class _ExactMatrix:
+    """n x m matrix over an exact entry ring, immutable.
+
+    A subclass names its ring by the entry type `_entry` with its `_zero` and
+    `_one`; the ring-specific operations live on the subclass.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
+    _entry: type
+    _zero: object
+    _one: object
+    _json_tags: dict = {}  # written between "cols" and "entries" by to_json
+
     def __init__(self, entries: Sequence[Sequence]) -> None:
-        grid = tuple(tuple(_as_quat(e) for e in row) for row in entries)
+        coerce = self._coerce
+        grid = tuple(tuple(map(coerce, row)) for row in entries)
         if not grid or not grid[0]:
-            raise ValueError("HMatrix cannot be empty")
+            raise ValueError(f"{type(self).__name__} cannot be empty")
         width = len(grid[0])
         if any(len(r) != width for r in grid):
             raise ValueError("ragged rows")
@@ -85,42 +81,103 @@ class HMatrix:
         object.__setattr__(self, "cols", width)
 
     def __setattr__(self, name, value):
-        raise AttributeError("HMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _coerce(cls, x):
+        """An entry of the ring: rationals and field scalars are embedded."""
+        if isinstance(x, cls._entry):
+            return x
+        if isinstance(x, (int, Fraction, ExactScalar)):
+            return cls._entry(x)
+        raise TypeError(f"cannot use {type(x).__name__} as an {cls.__name__} entry")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "HMatrix":
-        return cls([[Q_ONE if i == j else Q_ZERO for j in range(n)] for i in range(n)])
+    def sparse(cls, n: int, entries: dict):
+        """n x n matrix from {(row, col): entry}, zero elsewhere."""
+        grid = [[cls._zero] * n for _ in range(n)]
+        for (r, c), v in entries.items():
+            grid[r][c] = v
+        return cls(grid)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "HMatrix":
-        return cls([[Q_ZERO] * cols for _ in range(rows)])
+    def identity(cls, n: int):
+        return cls.diag([cls._one] * n)
 
     @classmethod
-    def diag(cls, values: Iterable) -> "HMatrix":
-        vals = [_as_quat(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else Q_ZERO for j in range(n)] for i in range(n)])
+    def zeros(cls, rows: int, cols: int):
+        return cls([[cls._zero] * cols for _ in range(rows)])
 
-    # -- arithmetic ----------------------------------------------------------
+    @classmethod
+    def diag(cls, values: Iterable):
+        vals = list(values)
+        return cls.sparse(len(vals), {(i, i): v for i, v in enumerate(vals)})
 
-    def _check_same_shape(self, other: "HMatrix"):
+    # -- entry-wise arithmetic and transposition -------------------------------
+
+    def _check_same_shape(self, other) -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def __add__(self, other: "HMatrix") -> "HMatrix":
+    def __add__(self, other):
         self._check_same_shape(other)
-        return HMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return type(self)([[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "HMatrix") -> "HMatrix":
+    def __sub__(self, other):
         self._check_same_shape(other)
-        return HMatrix([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return type(self)([[a - b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.entries, other.entries)])
 
-    def __neg__(self) -> "HMatrix":
-        return HMatrix([[-e for e in row] for row in self.entries])
+    def __neg__(self):
+        return type(self)([[-e for e in row] for row in self.entries])
+
+    def transpose(self):
+        """Plain transpose.  Not a homomorphism over the quaternions."""
+        return type(self)(list(zip(*self.entries)))
+
+    def trace(self):
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        acc = self._zero
+        for i in range(self.rows):
+            acc = acc + self.entries[i][i]
+        return acc
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.entries for e in row)
+
+    # -- value semantics and serialization -------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def to_json(self) -> dict:
+        return {"rows": self.rows, "cols": self.cols, **self._json_tags,
+                "entries": [e.to_json() for row in self.entries for e in row]}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        rows, cols = obj["rows"], obj["cols"]
+        flat = [cls._entry.from_json(e) for e in obj["entries"]]
+        return cls([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows}x{self.cols})"
+
+
+class HMatrix(_ExactMatrix):
+    """n x m matrix of quaternions, immutable, exact."""
+
+    __slots__ = ()
+    _entry, _zero, _one = Quaternion, Q_ZERO, Q_ONE
 
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
         return HMatrix(_sparse_product(self, other, Q_ZERO))
@@ -134,11 +191,6 @@ class HMatrix:
         return HMatrix([[q * e for e in row] for row in self.entries])
 
     # -- involutions ---------------------------------------------------------
-
-    def transpose(self) -> "HMatrix":
-        """Plain transpose.  Not a homomorphism over the quaternions."""
-        return HMatrix([[self.entries[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
 
     def conj_entries(self) -> "HMatrix":
         return HMatrix([[e.conj() for e in row] for row in self.entries])
@@ -154,25 +206,9 @@ class HMatrix:
         """Entry-wise conjugation followed by transposition (anti-homomorphism)."""
         return self.conj_entries().transpose()
 
-    def trace(self) -> Quaternion:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        acc = Q_ZERO
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols and
-                self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
+    def coords(self) -> list[ExactScalar]:
+        """Real coordinates, four per quaternion entry in row-major order."""
+        return [c for row in self.entries for q in row for c in (q.t, q.x, q.y, q.z)]
 
     # -- embedding and determinant --------------------------------------------
 
@@ -201,87 +237,25 @@ class HMatrix:
             raise ValueError("Study determinant of a non-square matrix")
         return self.embed().det()
 
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [e.to_json() for row in self.entries for e in row]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "HMatrix":
-        rows, cols = obj["rows"], obj["cols"]
-        flat = [Quaternion.from_json(e) for e in obj["entries"]]
-        return cls([flat[i * cols:(i + 1) * cols] for i in range(rows)])
-
-    def __repr__(self) -> str:
-        return f"HMatrix({self.rows}x{self.cols})"
-
-
-class CMatrix:
+class CMatrix(_ExactMatrix):
     """n x m complex matrix with exact (ExactComplex) entries, immutable."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
+    _entry, _zero, _one = ExactComplex, C_ZERO, C_ONE
 
     # Every CMatrix is exact (float matrices are numpy arrays); the constant
     # stays for callers that label CMatrix work by it, such as the benchmark's
     # tracer.
     mode = "exact"
-
-    def __init__(self, entries: Sequence[Sequence]) -> None:
-        grid = tuple(tuple(_as_excomplex(e) for e in row) for row in entries)
-        if not grid or not grid[0]:
-            raise ValueError("CMatrix cannot be empty")
-        width = len(grid[0])
-        if any(len(r) != width for r in grid):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "CMatrix":
-        return cls([[ExactComplex(1 if i == j else 0) for j in range(n)]
-                    for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "CMatrix":
-        return cls([[ExactComplex(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def diag(cls, values: Iterable) -> "CMatrix":
-        vals = [_as_excomplex(v) for v in values]
-        n = len(vals)
-        zero = ExactComplex(0)
-        return cls([[vals[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    def _check_same_shape(self, other: "CMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def __add__(self, other: "CMatrix") -> "CMatrix":
-        self._check_same_shape(other)
-        return CMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "CMatrix") -> "CMatrix":
-        self._check_same_shape(other)
-        return CMatrix([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "CMatrix":
-        return CMatrix([[-e for e in row] for row in self.entries])
+    _json_tags = {"mode": mode}
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         return CMatrix(_sparse_product(self, other, C_ZERO))
 
     def scale(self, s) -> "CMatrix":
-        s = _as_excomplex(s)
+        s = self._coerce(s)
         return CMatrix([[s * e for e in row] for row in self.entries])
-
-    def transpose(self) -> "CMatrix":
-        return CMatrix([[self.entries[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
 
     def conj(self) -> "CMatrix":
         return CMatrix([[e.conj() for e in row] for row in self.entries])
@@ -289,13 +263,9 @@ class CMatrix:
     def dagger(self) -> "CMatrix":
         return self.conj().transpose()
 
-    def trace(self) -> ExactComplex:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        acc = ExactComplex(0)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+    def coords(self) -> list[ExactScalar]:
+        """Real coordinates, (re, im) per entry in row-major order."""
+        return [c for row in self.entries for e in row for c in (e.re, e.im)]
 
     def det(self) -> ExactComplex:
         if self.rows != self.cols:
@@ -307,24 +277,12 @@ class CMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.entries[i]) + [ExactComplex(1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
+        aug = [list(row) + list(unit)
+               for row, unit in zip(self.entries, CMatrix.identity(n).entries)]
         pivots = linalg.rref(aug, ncols=n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
         return CMatrix([row[n:] for row in aug])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols and
-                self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def to_numpy(self):
         """The float image as a complex numpy array: the one place where exact
@@ -332,19 +290,6 @@ class CMatrix:
         import numpy
         return numpy.array([[complex(e) for e in row] for row in self.entries],
                            dtype=complex)
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "mode": "exact",
-                "entries": [e.to_json() for row in self.entries for e in row]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CMatrix":
-        rows, cols = obj["rows"], obj["cols"]
-        flat = [ExactComplex.from_json(e) for e in obj["entries"]]
-        return cls([flat[i * cols:(i + 1) * cols] for i in range(rows)])
-
-    def __repr__(self) -> str:
-        return f"CMatrix({self.rows}x{self.cols})"
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -361,15 +306,21 @@ def kron(a: CMatrix, b: CMatrix) -> CMatrix:
 
 
 def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
-    """Assemble a CMatrix from a 2D grid of blocks."""
+    """Assemble a CMatrix from a 2D grid of blocks.
+
+    The blocks of a block row must share a height, and the block columns the
+    widths of the first block row.
+    """
+    widths = [blk.cols for blk in blocks[0]] if blocks else []
     out = []
     for brow in blocks:
         height = brow[0].rows
+        if any(blk.rows != height for blk in brow):
+            raise ValueError("blocks of one block row differ in height")
+        if [blk.cols for blk in brow] != widths:
+            raise ValueError("blocks of one block column differ in width")
         for r in range(height):
-            row = []
-            for blk in brow:
-                row.extend(blk.entries[r])
-            out.append(row)
+            out.append([e for blk in brow for e in blk.entries[r]])
     return CMatrix(out)
 
 
@@ -381,6 +332,13 @@ def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
 def i_pq(p: int, q: int) -> HMatrix:
     """Diagonal form matrix with p entries +1 followed by q entries -1."""
     return HMatrix.diag([Quaternion(1)] * p + [Quaternion(-1)] * q)
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that would accept anything (inf, nan) or nothing
+    (negative); tol=0 asks for literal equality."""
+    if not 0 <= tol < float("inf"):  # false for nan as well
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 def _abs_le(x: ExactScalar, tol: float) -> bool:
@@ -403,6 +361,7 @@ def is_sostar_group(o: HMatrix, tol: float = DEFAULT_TOL) -> bool:
     for literal membership.  Float group elements produced by exponentials are
     checked in embedded form by `is_sostar_group_embedded`.
     """
+    _check_tol(tol)
     if o.rows != o.cols:
         raise ValueError("group membership requires a square matrix")
     resid = o.rev_transpose() @ o - HMatrix.identity(o.rows)
@@ -426,6 +385,7 @@ def is_spstar_group(a: HMatrix, p: int, q: int, tol: float = DEFAULT_TOL) -> boo
     Also checks the equivalent characterization through the skew reversion
     form j*I_pq, and unit Study determinant.
     """
+    _check_tol(tol)
     if a.rows != a.cols:
         raise ValueError("group membership requires a square matrix")
     n = a.rows
@@ -501,6 +461,7 @@ def is_sostar_group_embedded(c, tol: float = DEFAULT_TOL) -> bool:
     commutation J C* J^{-1} = C (J^{-1} = -J* because J J* = -I), and det C = 1.
     """
     import numpy
+    _check_tol(tol)
     rows, cols = numpy.shape(c)
     if rows != cols or rows % 2:
         raise ValueError("embedded membership requires an even square matrix")
@@ -514,6 +475,7 @@ def is_su_group_embedded(c, p: int, q: int, tol: float = DEFAULT_TOL) -> bool:
     """Pseudo-unitary membership C^dagger I_pq C = I_pq with det C = 1, for a
     float matrix."""
     import numpy
+    _check_tol(tol)
     rows, cols = numpy.shape(c)
     if rows != cols or rows != p + q:
         raise ValueError("shape mismatch for SU(p,q) membership")

@@ -21,6 +21,7 @@ from .hmatrix import (CMatrix, DEFAULT_TOL, is_sostar_group_embedded,
 from .liealg import (bracket, commutant_dimension, compact_generator_count,
                      matrix_exp)
 from .report import VerificationReport
+from .triality import is_real_matrix
 
 
 def _exp_of(exact_mat: CMatrix, factor: float, tol: float):
@@ -150,7 +151,7 @@ def verify_sostar6(tol: float = DEFAULT_TOL) -> VerificationReport:
                   compact_generator_count(basis) == 9)
 
     real_idx = [i for i, g in enumerate(su31.generators)
-                if all(e.im.is_zero() for row in g.entries for e in row)]
+                if is_real_matrix(g)]
     rep.check("exactly six su(3,1) generators are manifestly real",
               len(real_idx) == 6, [su31.labels[i] for i in real_idx])
     rep.check("the manifestly real span closes as a 6-dimensional subalgebra",

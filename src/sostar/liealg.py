@@ -2,8 +2,8 @@
 signatures, commutant dimensions, and a float matrix exponential.
 
 Structure constants are computed by exact linear solves: generators are
-vectorized over the real coefficient field Q(sqrt2, sqrt3) (a quaternion entry
-contributes four coordinates, a complex entry two) and every bracket is
+vectorized over the real coefficient field Q(sqrt2, sqrt3) by their `coords()`
+(four per quaternion entry, two per complex entry) and every bracket is
 expanded in the basis in a single batched elimination.  A bracket leaving the
 real span raises, which doubles as the closure check.
 """
@@ -27,20 +27,8 @@ def bracket(x, y):
     return x @ y - y @ x
 
 
-def _coords_h(m: HMatrix) -> list[ExactScalar]:
-    out = []
-    for row in m.entries:
-        for q in row:
-            out.extend((q.t, q.x, q.y, q.z))
-    return out
-
-
-def _coords_c(m: CMatrix) -> list[ExactScalar]:
-    out = []
-    for row in m.entries:
-        for e in row:
-            out.extend((e.re, e.im))
-    return out
+# the generator type of each realization
+_GENERATOR_TYPES = {QUATERNIONIC: HMatrix, COMPLEX_EXACT: CMatrix}
 
 
 class LieBasis:
@@ -52,17 +40,15 @@ class LieBasis:
 
     def __init__(self, name: str, realization: str, generators: Sequence,
                  labels: Sequence[str] | None = None) -> None:
-        if realization not in (QUATERNIONIC, COMPLEX_EXACT):
+        gen_type = _GENERATOR_TYPES.get(realization)
+        if gen_type is None:
             raise ValueError(f"unknown realization {realization!r}")
         gens = list(generators)
         if not gens:
             raise ValueError("empty basis")
-        if realization == QUATERNIONIC:
-            if not all(isinstance(g, HMatrix) for g in gens):
-                raise TypeError("quaternionic basis requires HMatrix generators")
-        else:
-            if not all(isinstance(g, CMatrix) for g in gens):
-                raise TypeError("complex-exact basis requires CMatrix generators")
+        if not all(isinstance(g, gen_type) for g in gens):
+            raise TypeError(f"{realization} basis requires "
+                            f"{gen_type.__name__} generators")
         shape = (gens[0].rows, gens[0].cols)
         if any((g.rows, g.cols) != shape for g in gens):
             raise ValueError("generators must share one shape")
@@ -73,7 +59,7 @@ class LieBasis:
             f"{name}_{i + 1}" for i in range(len(gens))]
         if len(self.labels) != len(gens):
             raise ValueError("labels/generators length mismatch")
-        if linalg.rank(self._coordinate_rows()) != len(gens):
+        if linalg.rank([g.coords() for g in gens]) != len(gens):
             raise ValueError("generators are linearly dependent over the reals")
         self._tensor: StructureTensor | None = None
         self._killing: KillingData | None = None
@@ -86,12 +72,7 @@ class LieBasis:
         return len(self.generators)
 
     def coords(self, m) -> list[ExactScalar]:
-        if self.realization == QUATERNIONIC:
-            return _coords_h(m)
-        return _coords_c(m)
-
-    def _coordinate_rows(self) -> list[list[ExactScalar]]:
-        return [self.coords(g) for g in self.generators]
+        return m.coords()
 
     def embedded(self) -> "LieBasis":
         """Complex-exact basis of 2x2-block images of a quaternionic basis."""
@@ -192,9 +173,9 @@ def structure_constants(basis: LieBasis) -> StructureTensor:
     """
     gens = basis.generators
     n = len(gens)
-    columns = [basis.coords(g) for g in gens]
+    columns = [g.coords() for g in gens]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    targets = [basis.coords(bracket(gens[i], gens[j])) for (i, j) in pairs]
+    targets = [bracket(gens[i], gens[j]).coords() for (i, j) in pairs]
     try:
         sols = linalg.solve_batch(columns, targets)
     except ValueError as exc:

@@ -1,17 +1,19 @@
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sostar.bases import generic_basis, SP_STAR, SO_STAR
 from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
-                            i_pq, is_sostar_algebra, is_sostar_group,
+                            from_blocks, i_pq, is_sostar_algebra, is_sostar_group,
                             is_sostar_group_embedded, is_spstar_algebra,
                             is_spstar_group, is_su_group_embedded, max_abs_diff,
                             quaternionic_structure_commutant_check)
-from sostar.quaternion import Q_I, Q_J, Q_ZERO, Quaternion
-from sostar.scalars import C_ZERO, ExactComplex, ExactScalar
+from sostar.quaternion import Q_I, Q_J, Q_ONE, Q_ZERO, Quaternion
+from sostar.scalars import C_I, C_ONE, C_ZERO, ExactComplex, ExactScalar
 
 
 def _rand_quat(rng) -> Quaternion:
@@ -292,3 +294,163 @@ def test_sostar_algebra_condition_forces_imaginary_trace(grid):
         d = s.entries[i][i]
         assert d.t.is_zero() and d.x.is_zero() and d.z.is_zero()
     assert s.trace().real_part().is_zero()
+
+
+# -- the contract the shared exact base keeps for both matrix types ------------
+
+# the zero, the one and a non-real unit of each entry ring
+_RING = {HMatrix: (Q_ZERO, Q_ONE, Q_J), CMatrix: (C_ZERO, C_ONE, C_I)}
+_MATRIX_TYPES = pytest.mark.parametrize("cls", [HMatrix, CMatrix],
+                                        ids=lambda cls: cls.__name__)
+
+
+@_MATRIX_TYPES
+def test_matrix_is_immutable(cls):
+    m = cls.identity(2)
+    for name, value in (("rows", 3), ("entries", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    assert m == cls.identity(2)
+
+
+@_MATRIX_TYPES
+def test_str_entry_is_a_type_error(cls):
+    with pytest.raises(TypeError):
+        cls([["1"]])
+    with pytest.raises(TypeError):
+        cls.diag([1, "1"])
+
+
+@_MATRIX_TYPES
+@pytest.mark.parametrize("grid", [[], [[]], [[1, 2], [3]], [[1], [2, 3]]],
+                         ids=["no-rows", "empty-row", "short-row", "long-row"])
+def test_empty_and_ragged_input_is_a_value_error(cls, grid):
+    with pytest.raises(ValueError):
+        cls(grid)
+
+
+def test_hmatrix_never_equals_a_cmatrix():
+    for h, c in ((HMatrix.identity(2), CMatrix.identity(2)),
+                 (HMatrix.zeros(1, 3), CMatrix.zeros(1, 3))):
+        assert h != c and c != h
+        assert not h == c and not c == h
+
+
+@_MATRIX_TYPES
+def test_equal_matrices_hash_equal(cls):
+    u = _RING[cls][2]
+    pairs = [
+        (cls.identity(2), cls([[1, 0], [0, 1]])),
+        (cls.diag([Fraction(1, 2), u]), cls([[Fraction(1, 2), 0], [0, u]])),
+        (cls([[u, 1]]) + cls([[u, 1]]), cls([[u, 1]]).scale(2)),
+        (cls([[u]]) - cls([[u]]), cls.zeros(1, 1)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({a for pair in pairs for a in pair}) == len(pairs)
+
+
+@_MATRIX_TYPES
+def test_constructors_transpose_and_trace(cls):
+    zero, one, u = _RING[cls]
+    assert cls.identity(2).entries == ((one, zero), (zero, one))
+    assert cls.zeros(2, 3).entries == ((zero,) * 3,) * 2
+    assert cls.diag([u, 2]).entries == ((u, zero), (zero, 2))
+    m = cls([[1, u, 0], [2, 3, u]])
+    t = m.transpose()
+    assert (t.rows, t.cols) == (3, 2)
+    assert t == cls([[1, 2], [u, 3], [0, u]])
+    assert t.transpose() == m
+    assert cls([[1, u], [0, u]]).trace() == one + u
+    assert cls.identity(3).trace() == 3
+    with pytest.raises(ValueError):
+        m.trace()
+
+
+@_MATRIX_TYPES
+def test_sparse_fills_the_rest_with_zero(cls):
+    u = _RING[cls][2]
+    assert cls.sparse(2, {(0, 1): u}) == cls([[0, u], [0, 0]])
+    assert cls.sparse(3, {}) == cls.zeros(3, 3)
+    assert cls.sparse(2, {(0, 0): 1, (1, 1): 1}) == cls.identity(2)
+
+
+@_MATRIX_TYPES
+def test_json_key_order_text_and_round_trip(cls):
+    keys = ["rows", "cols", "entries"] if cls is HMatrix else [
+        "rows", "cols", "mode", "entries"]
+    u = _RING[cls][2]
+    m = cls([[Fraction(1, 2), u, 0], [ExactScalar.sqrt2(), 1, u]])
+    assert list(m.to_json()) == keys
+    assert cls.from_json(json.loads(json.dumps(m.to_json()))) == m
+    entry = cls([[u]])
+    head = '"mode": "exact", ' if cls is CMatrix else ""
+    assert json.dumps(entry.to_json()) == (
+        '{"rows": 1, "cols": 1, ' + head + '"entries": ['
+        + json.dumps(u.to_json()) + ']}')
+
+
+@_MATRIX_TYPES
+def test_repr_names_type_and_shape(cls):
+    assert repr(cls.zeros(2, 3)) == f"{cls.__name__}(2x3)"
+    assert repr(cls.identity(1)) == f"{cls.__name__}(1x1)"
+
+
+def test_coords_are_real_coordinates_in_row_major_order():
+    q = Quaternion(1, 2, 3, 4)
+    assert HMatrix([[q, Q_I]]).coords() == [1, 2, 3, 4, 0, 1, 0, 0]
+    assert CMatrix([[ExactComplex(1, 2), 3]]).coords() == [1, 2, 3, 0]
+    assert HMatrix([[q]]).embed().coords() == [1, 4, -3, 2, 3, 2, 1, -4]
+
+
+# -- tolerances and block assembly ----------------------------------------------
+
+_TOLERANT_PREDICATES = {
+    "is_sostar_group": lambda tol: is_sostar_group(HMatrix.zeros(1, 1), tol),
+    "is_spstar_group": lambda tol: is_spstar_group(HMatrix.zeros(1, 1), 1, 0, tol),
+    "is_sostar_group_embedded":
+        lambda tol: is_sostar_group_embedded(np.zeros((2, 2)), tol),
+    "is_su_group_embedded":
+        lambda tol: is_su_group_embedded(np.zeros((2, 2)), 1, 1, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0],
+                         ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("predicate", sorted(_TOLERANT_PREDICATES))
+def test_unbounded_or_negative_tolerance_is_rejected(predicate, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        _TOLERANT_PREDICATES[predicate](tol)
+
+
+def test_zero_tolerance_asks_for_literal_membership():
+    j = HMatrix([[Q_J]])
+    assert is_sostar_group(j, 0) and not is_sostar_group(j.scale(2), 0)
+    assert is_spstar_group(HMatrix([[Q_I]]), 1, 0, 0)
+    assert is_sostar_group_embedded(j.embed().to_numpy(), 0)
+    assert is_su_group_embedded(np.diag([1j, -1j]), 1, 1, 0)
+    assert not is_sostar_group_embedded(np.zeros((2, 2)), 0)
+
+
+def test_from_blocks_assembles_the_grid():
+    a, b = CMatrix.diag([1, 2]), CMatrix([[C_I], [3]])
+    c, d = CMatrix([[4, 5]]), CMatrix([[6]])
+    assert from_blocks([[a, b], [c, d]]) == CMatrix(
+        [[1, 0, C_I], [0, 2, 3], [4, 5, 6]])
+
+
+def test_from_blocks_rejects_blocks_of_different_heights():
+    with pytest.raises(ValueError):  # used to drop the third row
+        from_blocks([[CMatrix.identity(2), CMatrix.zeros(3, 2)]])
+    with pytest.raises(ValueError):  # used to raise IndexError
+        from_blocks([[CMatrix.identity(2), CMatrix.zeros(1, 2)]])
+
+
+def test_from_blocks_rejects_block_columns_of_different_widths():
+    # both block rows are three wide, but the block columns do not line up
+    with pytest.raises(ValueError):
+        from_blocks([[CMatrix.identity(2), CMatrix.zeros(2, 1)],
+                     [CMatrix.zeros(2, 1), CMatrix.identity(2)]])
+    with pytest.raises(ValueError):
+        from_blocks([[CMatrix.identity(2)],
+                     [CMatrix.zeros(2, 1), CMatrix.zeros(2, 1)]])

@@ -97,6 +97,24 @@ def test_dependent_generators_rejected():
         LieBasis("dup", "quaternionic", [g, g.scale(2)])
 
 
+@pytest.mark.parametrize("realization, generators", [
+    (liealg.QUATERNIONIC, [CMatrix([[ExactComplex(0, 1)]])]),
+    (COMPLEX_EXACT, [HMatrix([[Q_J]])]),
+    (liealg.QUATERNIONIC, [HMatrix([[Q_J]]), CMatrix([[ExactComplex(0, 1)]])]),
+], ids=["cmatrix-as-quaternionic", "hmatrix-as-complex", "mixed"])
+def test_generators_must_match_the_realization(realization, generators):
+    with pytest.raises(TypeError):
+        LieBasis("mismatch", realization, generators)
+
+
+def test_basis_coordinates_are_the_matrix_coordinates(a_basis, s_basis):
+    for basis in (a_basis, s_basis, a_basis.embedded()):
+        for g in basis.generators:
+            assert basis.coords(g) == g.coords()
+            assert len(g.coords()) == g.rows * g.cols * (
+                4 if isinstance(g, HMatrix) else 2)
+
+
 def test_generic_dimensions():
     assert generic_basis(SO_STAR, 4).dim == 28
     assert generic_basis(SP_STAR, 2, 1, 1).dim == 10
