@@ -24,14 +24,10 @@ from fractions import Fraction
 from .constants import gellmann
 from .hmatrix import CMatrix, HMatrix, from_blocks
 from .liealg import COMPLEX_EXACT, QUATERNIONIC, LieBasis
-from .quaternion import Quaternion
-from .scalars import ExactComplex, ExactScalar
+from .quaternion import Q_I, Q_J, Q_K, Q_ONE, Quaternion
+from .scalars import C_I, ExactComplex, ExactScalar
 
 _HALF = Fraction(1, 2)
-
-
-def _q(t=0, x=0, y=0, z=0) -> Quaternion:
-    return Quaternion(t, x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +38,14 @@ def _q(t=0, x=0, y=0, z=0) -> Quaternion:
 def basis_sostar4_A() -> LieBasis:
     """Quaternionic basis of so*(4); A_1..A_3 and A_4..A_6 are commuting
     su(2) and sl(2,R) subalgebras."""
-    h = _HALF
+    h1, hi, hj, hk = (u.scale(_HALF) for u in (Q_ONE, Q_I, Q_J, Q_K))
     gens = [
-        HMatrix.sparse(2, {(0, 1): _q(h), (1, 0): _q(-h)}),
-        HMatrix.sparse(2, {(0, 0): _q(0, 0, h), (1, 1): _q(0, 0, -h)}),
-        HMatrix.sparse(2, {(0, 1): _q(0, 0, -h), (1, 0): _q(0, 0, -h)}),
-        HMatrix.sparse(2, {(0, 1): _q(0, h), (1, 0): _q(0, -h)}),
-        HMatrix.sparse(2, {(0, 0): _q(0, 0, h), (1, 1): _q(0, 0, h)}),
-        HMatrix.sparse(2, {(0, 1): _q(0, 0, 0, h), (1, 0): _q(0, 0, 0, -h)}),
+        HMatrix.sparse(2, {(0, 1): h1, (1, 0): -h1}),
+        HMatrix.sparse(2, {(0, 0): hj, (1, 1): -hj}),
+        HMatrix.sparse(2, {(0, 1): -hj, (1, 0): -hj}),
+        HMatrix.sparse(2, {(0, 1): hi, (1, 0): -hi}),
+        HMatrix.sparse(2, {(0, 0): hj, (1, 1): hj}),
+        HMatrix.sparse(2, {(0, 1): hk, (1, 0): -hk}),
     ]
     return LieBasis("sostar4_A", QUATERNIONIC, gens,
                     [f"A{i}" for i in range(1, 7)])
@@ -112,28 +108,29 @@ def basis_sostar6_quat() -> LieBasis:
     exp(sqrt6*pi*a_15) = -I_3 (quaternionic), i.e. -I_6 embedded.
     """
     h = _HALF
+    h1, hi, hj, hk = (u.scale(h) for u in (Q_ONE, Q_I, Q_J, Q_K))
     s3 = ExactScalar.sqrt3()
     inv_s3 = ExactScalar(1) / s3
     w = ExactScalar(h) * inv_s3          # 1/(2 sqrt 3)
     v = ExactScalar(1) / ExactScalar.sqrt6()  # 1/sqrt6 = (1/2) * sqrt2/sqrt3
     gens = [
-        HMatrix.sparse(3, {(1, 2): _q(0, 0, h), (2, 1): _q(0, 0, h)}),         # a1
-        HMatrix.sparse(3, {(1, 2): _q(h), (2, 1): _q(-h)}),                    # a2
-        HMatrix.sparse(3, {(1, 1): _q(0, 0, -h), (2, 2): _q(0, 0, h)}),        # a3
-        HMatrix.sparse(3, {(0, 2): _q(0, 0, h), (2, 0): _q(0, 0, h)}),         # a4
-        HMatrix.sparse(3, {(0, 2): _q(h), (2, 0): _q(-h)}),                    # a5
-        HMatrix.sparse(3, {(0, 1): _q(0, 0, h), (1, 0): _q(0, 0, h)}),         # a6
-        HMatrix.sparse(3, {(0, 1): _q(h), (1, 0): _q(-h)}),                    # a7
+        HMatrix.sparse(3, {(1, 2): hj, (2, 1): hj}),                # a1
+        HMatrix.sparse(3, {(1, 2): h1, (2, 1): -h1}),               # a2
+        HMatrix.sparse(3, {(1, 1): -hj, (2, 2): hj}),               # a3
+        HMatrix.sparse(3, {(0, 2): hj, (2, 0): hj}),                # a4
+        HMatrix.sparse(3, {(0, 2): h1, (2, 0): -h1}),               # a5
+        HMatrix.sparse(3, {(0, 1): hj, (1, 0): hj}),                # a6
+        HMatrix.sparse(3, {(0, 1): h1, (1, 0): -h1}),               # a7
         HMatrix.sparse(3, {(0, 0): Quaternion(0, 0, ExactScalar(-2) * w),
                            (1, 1): Quaternion(0, 0, w),
-                           (2, 2): Quaternion(0, 0, w)}),                      # a8
-        HMatrix.sparse(3, {(1, 2): _q(0, h), (2, 1): _q(0, -h)}),              # a9
-        HMatrix.sparse(3, {(1, 2): _q(0, 0, 0, h), (2, 1): _q(0, 0, 0, -h)}),  # a10
-        HMatrix.sparse(3, {(0, 2): _q(0, h), (2, 0): _q(0, -h)}),              # a11
-        HMatrix.sparse(3, {(0, 2): _q(0, 0, 0, h), (2, 0): _q(0, 0, 0, -h)}),  # a12
-        HMatrix.sparse(3, {(0, 1): _q(0, h), (1, 0): _q(0, -h)}),              # a13
-        HMatrix.sparse(3, {(0, 1): _q(0, 0, 0, h), (1, 0): _q(0, 0, 0, -h)}),  # a14
-        HMatrix.diag([Quaternion(0, 0, v)] * 3),                               # a15
+                           (2, 2): Quaternion(0, 0, w)}),           # a8
+        HMatrix.sparse(3, {(1, 2): hi, (2, 1): -hi}),               # a9
+        HMatrix.sparse(3, {(1, 2): hk, (2, 1): -hk}),               # a10
+        HMatrix.sparse(3, {(0, 2): hi, (2, 0): -hi}),               # a11
+        HMatrix.sparse(3, {(0, 2): hk, (2, 0): -hk}),               # a12
+        HMatrix.sparse(3, {(0, 1): hi, (1, 0): -hi}),               # a13
+        HMatrix.sparse(3, {(0, 1): hk, (1, 0): -hk}),               # a14
+        HMatrix.diag([Quaternion(0, 0, v)] * 3),                    # a15
     ]
     return LieBasis("sostar6_quat", QUATERNIONIC, gens,
                     [f"a{i}" for i in range(1, 16)])
@@ -147,11 +144,10 @@ def basis_sostar6_complex() -> LieBasis:
     gens: list[CMatrix] = []
     for i in range(8):
         gens.append(from_blocks([[lam[i], zero3], [zero3, lam[i].conj()]]))
-    i_c = ExactComplex(ExactScalar(0), ExactScalar(1))
     for idx in (1, 4, 6):  # lambda_2, lambda_5, lambda_7 (real ones)
         l = lam[idx]
         gens.append(from_blocks([[zero3, -l], [l, zero3]]))
-        il = l.scale(i_c)
+        il = l.scale(C_I)
         gens.append(from_blocks([[zero3, il], [il, zero3]]))
     iw = ExactComplex(0, ExactScalar(1) / ExactScalar.sqrt6())
     gens.append(CMatrix.diag([iw] * 3 + [-iw] * 3))
@@ -167,12 +163,7 @@ SL_H = "sl_H"
 SP_STAR = "sp_star"
 SO_STAR = "so_star"
 
-_UNITS = {
-    "1": Quaternion(1),
-    "i": Quaternion(0, 1),
-    "j": Quaternion(0, 0, 1),
-    "k": Quaternion(0, 0, 0, 1),
-}
+_UNITS = {"1": Q_ONE, "i": Q_I, "j": Q_J, "k": Q_K}
 
 
 def generic_basis(family: str, n: int, p: int | None = None,

@@ -3,7 +3,8 @@
     sostar verify [--suite NAME] [--tol TOL] [--json PATH]     (0 < TOL <= 1e-3)
     sostar export --family NAME [--n N] [--p P] [--q Q] [--output PATH]
 
-Exit codes: 0 all claims passed, 1 at least one claim failed, 2 usage error.
+Exit codes: 0 all claims passed, 1 at least one claim failed, 2 usage error
+(a generic-family export above dimension MAX_EXPORT_DIM = 120 is one).
 Output is deterministic: fixed suite order and 17-significant-digit floats,
 so identical invocations produce byte-identical bytes.
 """
@@ -88,23 +89,37 @@ _FIXED_FAMILIES = {
 }
 
 
+# Largest algebra dimension that `export` builds for a generic family; the
+# exact structure constants take about dim^3 work.  The largest allowed
+# export, so*(16) (`--family sostar --n 8`, dimension 120), takes 4.6 s on a
+# 2-core x86-64 Linux host with Python 3.11.
+MAX_EXPORT_DIM = 120
+
+# export family -> (generic_basis family, algebra dimension for size n)
+_GENERIC_FAMILIES = {
+    "sostar": (SO_STAR, lambda n: n * (2 * n - 1)),
+    "spstar": (SP_STAR, lambda n: n * (2 * n + 1)),
+    "slh": (SL_H, lambda n: 4 * n * n - 1),
+}
+
+
 def export_document(family: str, n: int | None = None, p: int | None = None,
                     q: int | None = None) -> dict:
     """Resolve an export family name to its JSON document (raises ValueError)."""
     if family in _FIXED_FAMILIES:
         return _FIXED_FAMILIES[family]().to_json()
-    if family == "sostar":
-        if n is None:
-            raise ValueError("--family sostar requires --n")
-        return generic_basis(SO_STAR, n).to_json()
-    if family == "spstar":
-        if p is None or q is None:
-            raise ValueError("--family spstar requires --p and --q")
-        return generic_basis(SP_STAR, p + q, p, q).to_json()
-    if family == "slh":
-        if n is None:
-            raise ValueError("--family slh requires --n")
-        return generic_basis(SL_H, n).to_json()
+    if family in _GENERIC_FAMILIES:
+        kind, dim = _GENERIC_FAMILIES[family]
+        if family == "spstar":
+            if p is None or q is None:
+                raise ValueError("--family spstar requires --p and --q")
+            n = p + q
+        elif n is None:
+            raise ValueError(f"--family {family} requires --n")
+        if n > 0 and dim(n) > MAX_EXPORT_DIM:
+            raise ValueError(f"--family {family} of size {n} has dimension "
+                             f"{dim(n)}, above the export bound {MAX_EXPORT_DIM}")
+        return generic_basis(kind, n, p, q).to_json()
     if family in ("sostar8L", "sostar8V", "sostar8R"):
         from .triality import apply_triality, transformed_spin_reps, triality_setup
         left, right = transformed_spin_reps()

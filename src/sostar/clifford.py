@@ -29,13 +29,11 @@ from .hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
                       from_blocks, kron)
 from .quaternion import Quaternion
 from .report import VerificationReport
-from .scalars import ExactComplex, ExactScalar
+from .scalars import C_I, ExactComplex, ExactScalar
 
 PAIRS: list[tuple[int, int]] = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 
 SIGN_FLIPS: list[tuple[int, int]] = [(1, 2), (1, 5), (1, 7), (2, 4), (2, 6), (4, 7)]
-
-_I = ExactComplex(0, 1)
 
 
 @dataclass
@@ -69,11 +67,11 @@ def cl7_basis() -> CliffordBasis:
     mi = ExactComplex(0, -1)
     gens = [
         kron(id2, g1 @ g3).scale(mi),
-        kron(sz, g3).scale(_I),
+        kron(sz, g3).scale(C_I),
         kron(id2, g1).scale(mi),
         kron(sy, g1 @ g2).scale(mi),
         -kron(sy, g1 @ g5),
-        kron(sx, g3).scale(_I),
+        kron(sx, g3).scale(C_I),
         -kron(sy, g0 @ g1),
     ]
     return CliffordBasis(gens, [1] * 7)
@@ -87,7 +85,7 @@ def cl26_basis() -> CliffordBasis:
     gens = [from_blocks([[zero8, id8], [id8, zero8]])]
     for mu in range(1, 8):
         m = from_blocks([[zero8, g[mu - 1]], [-g[mu - 1], zero8]])
-        gens.append(m.scale(_I) if mu == 1 else m)
+        gens.append(m.scale(C_I) if mu == 1 else m)
     return CliffordBasis(gens, [1, 1, -1, -1, -1, -1, -1, -1])
 
 
@@ -174,7 +172,7 @@ def sostar8_generic(a: list) -> HMatrix:
     """
     if len(a) != 28:
         raise ValueError("expected 28 parameters")
-    a = [x if isinstance(x, ExactScalar) else ExactScalar(x) for x in a]
+    a = [ExactScalar.coerce(x) for x in a]
     half = ExactScalar(Fraction(1, 2))
 
     def quat(re, xi, yj, zk) -> Quaternion:
@@ -242,7 +240,7 @@ def theta_to_a(theta: dict) -> list[ExactScalar]:
         i, j = key
         if not (0 <= i < j <= 7):
             raise ValueError(f"bad plane index {key}")
-        theta_sc[key] = val if isinstance(val, ExactScalar) else ExactScalar(val)
+        theta_sc[key] = ExactScalar.coerce(val)
     a = []
     for idx in range(1, 29):
         acc = zero

@@ -69,7 +69,7 @@ class _ExactMatrix:
     _json_tags: dict = {}  # written between "cols" and "entries" by to_json
 
     def __init__(self, entries: Sequence[Sequence]) -> None:
-        coerce = self._coerce
+        coerce = self._entry.coerce
         grid = tuple(tuple(map(coerce, row)) for row in entries)
         if not grid or not grid[0]:
             raise ValueError(f"{type(self).__name__} cannot be empty")
@@ -82,15 +82,6 @@ class _ExactMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _coerce(cls, x):
-        """An entry of the ring: rationals and field scalars are embedded."""
-        if isinstance(x, cls._entry):
-            return x
-        if isinstance(x, (int, Fraction, ExactScalar)):
-            return cls._entry(x)
-        raise TypeError(f"cannot use {type(x).__name__} as an {cls.__name__} entry")
 
     # -- constructors -------------------------------------------------------
 
@@ -184,7 +175,7 @@ class HMatrix(_ExactMatrix):
 
     def scale(self, s) -> "HMatrix":
         """Multiply every entry by a central (real field) scalar."""
-        s = s if isinstance(s, ExactScalar) else ExactScalar(s)
+        s = ExactScalar.coerce(s)
         return HMatrix([[e.scale(s) for e in row] for row in self.entries])
 
     def left_mul(self, q: Quaternion) -> "HMatrix":
@@ -254,7 +245,7 @@ class CMatrix(_ExactMatrix):
         return CMatrix(_sparse_product(self, other, C_ZERO))
 
     def scale(self, s) -> "CMatrix":
-        s = self._coerce(s)
+        s = ExactComplex.coerce(s)
         return CMatrix([[s * e for e in row] for row in self.entries])
 
     def conj(self) -> "CMatrix":

@@ -106,7 +106,11 @@ class LieBasis:
 
 @dataclass
 class StructureTensor:
-    """Sparse antisymmetric tensor f with [g_i, g_j] = sum_k f[i,j,k] g_k."""
+    """Sparse antisymmetric tensor f with [g_i, g_j] = sum_k f[i,j,k] g_k.
+
+    `table` holds no zero coefficient and no empty row, so two tensors are
+    equal exactly when their (dim, table) are (the dataclass comparison).
+    """
 
     dim: int
     table: dict = field(default_factory=dict)  # (i, j) i<j -> {k: ExactScalar}
@@ -125,20 +129,6 @@ class StructureTensor:
             return self.table.get((i, j), {})
         return {k: -v for k, v in self.table.get((j, i), {}).items()}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StructureTensor):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        keys = set(self.table) | set(other.table)
-        for key in keys:
-            a = self.table.get(key, {})
-            b = other.table.get(key, {})
-            for k in set(a) | set(b):
-                if a.get(k, ExactScalar(0)) != b.get(k, ExactScalar(0)):
-                    return False
-        return True
-
     def jacobi_holds(self) -> bool:
         """Exact Jacobi identity on every index triple."""
         n = self.dim
@@ -156,13 +146,8 @@ class StructureTensor:
         return True
 
     def to_triplets(self) -> list:
-        out = []
-        for (i, j) in sorted(self.table):
-            for k in sorted(self.table[(i, j)]):
-                v = self.table[(i, j)][k]
-                if not v.is_zero():
-                    out.append([i, j, k, v.to_json()])
-        return out
+        return [[i, j, k, row[k].to_json()]
+                for (i, j), row in sorted(self.table.items()) for k in sorted(row)]
 
 
 def structure_constants(basis: LieBasis) -> StructureTensor:

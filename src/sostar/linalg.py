@@ -5,15 +5,13 @@ All routines work generically for any field-like entries supporting
 are plain lists of row lists.  Nothing here ever rounds: pivoting picks the
 first nonzero entry, not the largest.  `rref` updates the row lists in place
 and touches only the pivot row's nonzero columns, so sparse systems are cheap.
+`congruence_signature` likewise updates, after each pivot, only the trailing
+block's rows and columns where the pivot row is nonzero.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero()
 
 
 def rref(rows: list[list], ncols: int | None = None):
@@ -33,7 +31,7 @@ def rref(rows: list[list], ncols: int | None = None):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, m):
-            if not _is_zero(rows[i][c]):
+            if not rows[i][c].is_zero():
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -41,13 +39,13 @@ def rref(rows: list[list], ncols: int | None = None):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
         # columns left of c are already zero in the pivot row
-        support = [k for k in range(c, width) if not _is_zero(prow[k])]
-        inv = _inverse(prow[c])
+        support = [k for k in range(c, width) if not prow[k].is_zero()]
+        inv = prow[c].inverse()
         for k in support:
             prow[k] = prow[k] * inv
         for i in range(m):
             row = rows[i]
-            if i != r and not _is_zero(row[c]):
+            if i != r and not row[c].is_zero():
                 factor = row[c]
                 for k in support:
                     row[k] = row[k] - factor * prow[k]
@@ -56,10 +54,6 @@ def rref(rows: list[list], ncols: int | None = None):
         if r == m:
             break
     return pivots
-
-
-def _inverse(x):
-    return x.inverse()
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -92,7 +86,7 @@ def solve_batch(columns: list[list], targets: list[list]):
         col = k + j
         # rows k..m-1 of the reduced system must vanish for solvability
         for i in range(k, m):
-            if not _is_zero(rows[i][col]):
+            if not rows[i][col].is_zero():
                 raise ValueError("target outside the span of the columns")
         sols.append([rows[i][col] for i in range(k)])
     return sols
@@ -119,10 +113,10 @@ def det_bareiss(matrix: list[list]):
     sign_flip = False
     prev = None
     for k in range(n - 1):
-        if _is_zero(m[k][k]):
+        if m[k][k].is_zero():
             swap = None
             for i in range(k + 1, n):
-                if not _is_zero(m[i][k]):
+                if not m[i][k].is_zero():
                     swap = i
                     break
             if swap is None:
@@ -176,24 +170,23 @@ def congruence_signature(sym) -> tuple[int, int, int]:
                     break
                 i, j = found
                 if i != k:
-                    _sym_swap(m, k, i)
-                    if j == k:
-                        j = i
-                _sym_add(m, k, j, 1)
-        pivot = m[k][k]
-        if pivot.is_zero():
-            n_zero += 1
-            continue
-        s = pivot.sign()
-        if s < 0:
+                    _sym_swap(m, k, i)  # j > i, so j is not moved
+                _sym_add(m, k, j)
+        pivot = m[k][k]  # nonzero: a swap or the mixing step made it so
+        if pivot.sign() < 0:
             n_minus += 1
         else:
             n_plus += 1
+        # Schur complement: only the trailing block is read again.  It is
+        # symmetric, so the rows to update are row k's nonzero columns.
         inv = pivot.inverse()
-        for i in range(k + 1, n):
-            if not m[i][k].is_zero():
-                factor = m[i][k] * inv
-                _sym_add(m, i, k, -factor)
+        prow = m[k]
+        support = [j for j in range(k + 1, n) if not prow[j].is_zero()]
+        for i in support:
+            row = m[i]
+            factor = row[k] * inv
+            for j in support:
+                row[j] = row[j] - factor * prow[j]
     return (n_minus, n_plus, n_zero)
 
 
@@ -203,11 +196,11 @@ def _sym_swap(m, a, b):
         row[a], row[b] = row[b], row[a]
 
 
-def _sym_add(m, dst, src, factor):
-    """Row dst += factor * row src, and the same for columns (congruence)."""
+def _sym_add(m, dst, src):
+    """Row dst += row src, then column dst += column src (a congruence)."""
     for k, y in enumerate(m[src]):
         if not y.is_zero():
-            m[dst][k] = m[dst][k] + factor * y
+            m[dst][k] = m[dst][k] + y
     for row in m:
         if not row[src].is_zero():
-            row[dst] = row[dst] + factor * row[src]
+            row[dst] = row[dst] + row[src]

@@ -14,76 +14,47 @@ The embedding sends t + xi + yj + zk to
 
 and is a multiplicative homomorphism M_1(H) -> M_2(C); conjugation maps to
 the conjugate transpose, reversion to the plain transpose.
+
+Quaternion shares its value semantics with ExactScalar and ExactComplex
+through `scalars._ExactElement` (coercion of ints, Fractions and field
+scalars as real quaternions, coordinate-wise + and -, equality, hashing,
+JSON, repr); the Hamilton product, which is the zero quaternion for a zero
+factor, and the involutions are written out here.  Real scalars are central,
+so a scalar on either side of a product gives the same quaternion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
-from .scalars import ExactScalar, ExactComplex
+from .scalars import ExactComplex, ExactScalar, _ExactElement
 
 ScalarLike = Union[int, Fraction, ExactScalar]
 
 
-def _sc(x: ScalarLike) -> ExactScalar:
-    return x if isinstance(x, ExactScalar) else ExactScalar(x)
-
-
-class Quaternion:
+class Quaternion(_ExactElement):
     """t + x i + y j + z k with ExactScalar components."""
 
     __slots__ = ("t", "x", "y", "z")
+    _parts = attrgetter(*__slots__)
+    _part_from_json = ExactScalar.from_json
 
     def __init__(self, t: ScalarLike = 0, x: ScalarLike = 0,
                  y: ScalarLike = 0, z: ScalarLike = 0) -> None:
-        object.__setattr__(self, "t", _sc(t))
-        object.__setattr__(self, "x", _sc(x))
-        object.__setattr__(self, "y", _sc(y))
-        object.__setattr__(self, "z", _sc(z))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    @classmethod
-    def i(cls) -> "Quaternion":
-        return cls(0, 1, 0, 0)
-
-    @classmethod
-    def j(cls) -> "Quaternion":
-        return cls(0, 0, 1, 0)
-
-    @classmethod
-    def k(cls) -> "Quaternion":
-        return cls(0, 0, 0, 1)
-
-    def __add__(self, other) -> "Quaternion":
-        other = _coerce_q(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Quaternion(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.t, -self.x, -self.y, -self.z)
-
-    def __sub__(self, other) -> "Quaternion":
-        other = _coerce_q(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Quaternion(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __rsub__(self, other) -> "Quaternion":
-        return (-self) + other
+        object.__setattr__(self, "t", t if isinstance(t, ExactScalar) else ExactScalar(t))
+        object.__setattr__(self, "x", x if isinstance(x, ExactScalar) else ExactScalar(x))
+        object.__setattr__(self, "y", y if isinstance(y, ExactScalar) else ExactScalar(y))
+        object.__setattr__(self, "z", z if isinstance(z, ExactScalar) else ExactScalar(z))
 
     def __mul__(self, other) -> "Quaternion":
         """Hamilton product; i^2 = j^2 = k^2 = ijk = -1."""
-        other = _coerce_q(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return Q_ZERO
         t1, x1, y1, z1 = self.t, self.x, self.y, self.z
         t2, x2, y2, z2 = other.t, other.x, other.y, other.z
         return Quaternion(
@@ -93,14 +64,12 @@ class Quaternion:
             t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2,
         )
 
-    def __rmul__(self, other) -> "Quaternion":
-        other = _coerce_q(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
+    # a left operand that is not a quaternion embeds as a real scalar, which
+    # is central
+    __rmul__ = __mul__
 
     def scale(self, s: ScalarLike) -> "Quaternion":
-        s = _sc(s)
+        s = ExactScalar.coerce(s)
         return Quaternion(self.t * s, self.x * s, self.y * s, self.z * s)
 
     def conj(self) -> "Quaternion":
@@ -127,22 +96,6 @@ class Quaternion:
         return (self.t.is_zero() and self.x.is_zero() and
                 self.y.is_zero() and self.z.is_zero())
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_q(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.t == other.t and self.x == other.x and
-                self.y == other.y and self.z == other.z)
-
-    def __hash__(self) -> int:
-        # a real quaternion equals its real part, so it hashes like it
-        if self.x.is_zero() and self.y.is_zero() and self.z.is_zero():
-            return hash(self.t)
-        return hash((self.t, self.x, self.y, self.z))
-
     def embed(self) -> list[list[ExactComplex]]:
         """2x2 complex image [[t+zi, xi-y], [xi+y, t-zi]] as a nested list."""
         t, x, y, z = self.t, self.x, self.y, self.z
@@ -151,29 +104,9 @@ class Quaternion:
             [ExactComplex(y, x), ExactComplex(t, -z)],
         ]
 
-    def to_json(self) -> dict:
-        return {"t": self.t.to_json(), "x": self.x.to_json(),
-                "y": self.y.to_json(), "z": self.z.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Quaternion":
-        return cls(ExactScalar.from_json(obj["t"]), ExactScalar.from_json(obj["x"]),
-                   ExactScalar.from_json(obj["y"]), ExactScalar.from_json(obj["z"]))
-
-    def __repr__(self) -> str:
-        return f"Quaternion({self.t!r}, {self.x!r}, {self.y!r}, {self.z!r})"
-
-
-def _coerce_q(x) -> "Quaternion":
-    if isinstance(x, Quaternion):
-        return x
-    if isinstance(x, (int, Fraction, ExactScalar)):
-        return Quaternion(x)
-    return NotImplemented
-
 
 Q_ZERO = Quaternion(0)
 Q_ONE = Quaternion(1)
-Q_I = Quaternion.i()
-Q_J = Quaternion.j()
-Q_K = Quaternion.k()
+Q_I = Quaternion(0, 1)
+Q_J = Quaternion(0, 0, 1)
+Q_K = Quaternion(0, 0, 0, 1)

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic in the real quadratic field Q(sqrt2, sqrt3).
+"""Exact scalar arithmetic: the real field Q(sqrt2, sqrt3) and its complex
+extension by i.
 
 Every numeric coefficient appearing in the group/algebra constructions of
 this package (halves, quarters, 1/sqrt3, sqrt2/sqrt3, 1/(2*sqrt6), ...) lives
@@ -9,12 +10,21 @@ with zero rounding error.  An element is stored as
 
 with arbitrary-precision rational coordinates.  Equality is structural on the
 four coordinates; there is no epsilon anywhere in this module.
+
+The exact number types (ExactScalar, ExactComplex here, Quaternion in
+`quaternion`) share one base, `_ExactElement`: immutability, one coercion rule
+(ints, Fractions and field scalars embed as the first coordinate),
+coordinate-wise + and - that return the other operand when one is zero,
+equality and hashing, JSON keyed by coordinate name and repr.  Each type
+writes out its own constructor, zero test and product; a product with a zero
+factor is that type's zero constant.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, attrgetter, neg, sub
 from typing import Union
 
 _SQRT2 = math.sqrt(2.0)
@@ -35,10 +45,101 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class ExactScalar:
+class _ExactElement:
+    """An immutable vector of coordinates, named by the subclass's `__slots__`.
+
+    A subclass sets `_parts = attrgetter(*__slots__)` and `_part_from_json`
+    (how one coordinate is read back from JSON), and writes out `__init__`
+    (which takes the coordinates in slot order), `is_zero` and `__mul__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _coerce(cls, x):
+        """`x` as an element of this ring, or NotImplemented (for operators):
+        ints, Fractions and field scalars embed as the first coordinate."""
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, (int, Fraction, ExactScalar)):
+            return cls(x)
+        return NotImplemented
+
+    @classmethod
+    def coerce(cls, x):
+        """`_coerce` for callers outside the operators: raises TypeError."""
+        # the first test saves a call per entry when a matrix is built
+        out = x if isinstance(x, cls) else cls._coerce(x)
+        if out is NotImplemented:
+            raise TypeError(f"cannot use {type(x).__name__} as {cls.__name__}")
+        return out
+
+    # a zero operand short-circuits: most entries of the matrices here are 0
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        return type(self)(*map(add, self._parts(self), self._parts(other)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(*map(neg, self._parts(self)))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        return type(self)(*map(sub, self._parts(self), self._parts(other)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._parts(self) == self._parts(other)
+
+    def __hash__(self) -> int:
+        # with every other coordinate zero an element equals its first
+        # coordinate (a Fraction or a field scalar), so it hashes like it
+        parts = self._parts(self)
+        return hash(parts) if any(parts[1:]) else hash(parts[0])
+
+    def to_json(self) -> dict:
+        return {name: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction)
+                else v.to_json()
+                for name, v in zip(self.__slots__, self._parts(self))}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(*(cls._part_from_json(obj[name]) for name in cls.__slots__))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._parts(self)))})"
+
+
+class ExactScalar(_ExactElement):
     """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3)."""
 
     __slots__ = ("a", "b", "c", "d")
+    _parts = attrgetter(*__slots__)
+    _part_from_json = Fraction
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
                  c: RationalLike = 0, d: RationalLike = 0) -> None:
@@ -47,14 +148,7 @@ class ExactScalar:
         object.__setattr__(self, "c", _frac(c))
         object.__setattr__(self, "d", _frac(d))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
-
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "ExactScalar":
-        return cls(_frac(x))
 
     @classmethod
     def sqrt2(cls) -> "ExactScalar":
@@ -70,39 +164,8 @@ class ExactScalar:
 
     # -- ring/field operations --------------------------------------------
 
-    # a zero operand short-circuits: most entries of the matrices here are 0
-    def __add__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        return ExactScalar(self.a + other.a, self.b + other.b,
-                           self.c + other.c, self.d + other.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b, -self.c, -self.d)
-
-    def __sub__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return -other
-        return ExactScalar(self.a - other.a, self.b - other.b,
-                           self.c - other.c, self.d - other.d)
-
-    def __rsub__(self, other) -> "ExactScalar":
-        return (-self) + other
-
     def __mul__(self, other) -> "ExactScalar":
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -145,13 +208,12 @@ class ExactScalar:
         return ExactScalar(num.a * inv, num.b * inv, num.c * inv, num.d * inv)
 
     def __truediv__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        other = self._coerce(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other) -> "ExactScalar":
-        return _coerce(other) * self.inverse()
+        other = self._coerce(other)
+        return other if other is NotImplemented else other * self.inverse()
 
     # -- predicates, order, conversions -------------------------------------
 
@@ -161,22 +223,6 @@ class ExactScalar:
 
     def is_rational(self) -> bool:
         return self.b is _F0 and self.c is _F0 and self.d is _F0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b and
-                self.c == other.c and self.d == other.d)
-
-    def __hash__(self) -> int:
-        # a rational value equals its Fraction (and int), so it hashes like one
-        if self.is_rational():
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d))
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1), decided algebraically.
@@ -189,22 +235,20 @@ class ExactScalar:
         return _sign_q23(self.a, self.b, self.c, self.d)
 
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
+        other = self._coerce(other)
+        return other if other is NotImplemented else (self - other).sign() < 0
 
     def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
+        other = self._coerce(other)
+        return other if other is NotImplemented else (self - other).sign() <= 0
 
     def __gt__(self, other) -> bool:
-        return _coerce(other) < self
+        other = self._coerce(other)
+        return other if other is NotImplemented else (self - other).sign() > 0
 
     def __ge__(self, other) -> bool:
-        return _coerce(other) <= self
+        other = self._coerce(other)
+        return other if other is NotImplemented else (self - other).sign() >= 0
 
     def __abs__(self) -> "ExactScalar":
         return -self if self.sign() < 0 else self
@@ -213,35 +257,12 @@ class ExactScalar:
         return (float(self.a) + float(self.b) * _SQRT2 +
                 float(self.c) * _SQRT3 + float(self.d) * _SQRT6)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"a": _frac_str(self.a), "b": _frac_str(self.b),
-                "c": _frac_str(self.c), "d": _frac_str(self.d)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExactScalar":
-        return cls(Fraction(obj["a"]), Fraction(obj["b"]),
-                   Fraction(obj["c"]), Fraction(obj["d"]))
-
     def __repr__(self) -> str:
         parts = []
         for coeff, tag in ((self.a, ""), (self.b, "*r2"), (self.c, "*r3"), (self.d, "*r6")):
             if coeff:
                 parts.append(f"{coeff}{tag}")
         return "ExactScalar(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def _coerce(x) -> "ExactScalar":
-    if isinstance(x, ExactScalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactScalar(x)
-    return NotImplemented
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _sign_rat(p: Fraction) -> int:
@@ -281,51 +302,25 @@ def _sign_q23(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> int:
 
 
 ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-HALF = ExactScalar(Fraction(1, 2))
-QUARTER = ExactScalar(Fraction(1, 4))
 
 
-class ExactComplex:
+class ExactComplex(_ExactElement):
     """Complex number with ExactScalar real and imaginary parts."""
 
     __slots__ = ("re", "im")
+    _parts = attrgetter(*__slots__)
+    _part_from_json = ExactScalar.from_json
 
     def __init__(self, re=0, im=0) -> None:
         object.__setattr__(self, "re", re if isinstance(re, ExactScalar) else ExactScalar(re))
         object.__setattr__(self, "im", im if isinstance(im, ExactScalar) else ExactScalar(im))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
-
-    @classmethod
-    def i(cls) -> "ExactComplex":
-        return cls(0, 1)
-
-    def __add__(self, other) -> "ExactComplex":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
-
-    def __sub__(self, other) -> "ExactComplex":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "ExactComplex":
-        return (-self) + other
-
     def __mul__(self, other) -> "ExactComplex":
-        other = _coerce_c(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return C_ZERO
         return ExactComplex(self.re * other.re - self.im * other.im,
                             self.re * other.im + self.im * other.re)
 
@@ -345,51 +340,14 @@ class ExactComplex:
         return ExactComplex(self.re * inv, -(self.im * inv))
 
     def __truediv__(self, other) -> "ExactComplex":
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        other = self._coerce(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        # a real value equals its real part, so it hashes like it
-        if self.im.is_zero():
-            return hash(self.re)
-        return hash((self.re, self.im))
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    def to_json(self) -> dict:
-        return {"re": self.re.to_json(), "im": self.im.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExactComplex":
-        return cls(ExactScalar.from_json(obj["re"]), ExactScalar.from_json(obj["im"]))
-
-    def __repr__(self) -> str:
-        return f"ExactComplex({self.re!r}, {self.im!r})"
-
-
-def _coerce_c(x) -> "ExactComplex":
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, ExactScalar):
-        return ExactComplex(x)
-    if isinstance(x, (int, Fraction)):
-        return ExactComplex(ExactScalar(x))
-    return NotImplemented
 
 
 C_ZERO = ExactComplex(0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,3 +128,32 @@ def test_export_byte_identical(tmp_path, capsys):
                          "--output", str(path)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_export_rejects_a_huge_generic_size_at_once(monkeypatch, capsys):
+    def never(*args):  # a basis that large would exhaust time and memory
+        raise AssertionError("the size was not checked before building")
+
+    monkeypatch.setattr(cli, "generic_basis", never)
+    assert cli.main(["export", "--family", "sostar", "--n", "1000000"]) == 2
+    assert "export bound" in capsys.readouterr().err
+    assert cli.main(["export", "--family", "spstar", "--p", "999", "--q", "1"]) == 2
+    assert cli.main(["export", "--family", "slh", "--n", "100"]) == 2
+    capsys.readouterr()
+
+
+def test_export_bound_is_on_the_dimension(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_EXPORT_DIM", 6)  # so*(4) = sostar --n 2
+    assert cli.main(["export", "--family", "sostar", "--n", "2"]) == 0
+    assert cli.main(["export", "--family", "sostar", "--n", "3"]) == 2
+    assert cli.main(["export", "--family", "slh", "--n", "1"]) == 0  # dim 3
+    assert cli.main(["export", "--family", "spstar", "--p", "1", "--q", "1"]) == 2
+    capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is imported only where floats are needed, which keeps start-up fast
+    code = "import sys, sostar.cli; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

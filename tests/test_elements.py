@@ -1,0 +1,132 @@
+"""The value contract shared by the three exact number types.
+
+ExactScalar, ExactComplex and Quaternion share one base, so each contract
+below is checked on all three: immutability, the coercion of ints, Fractions
+and field scalars, JSON, the zero-operand short-cuts, and the ring operations
+against coordinate formulas written out here.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from sostar.quaternion import Q_ZERO, Quaternion
+from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar
+
+_SLOTS = {ExactScalar: ["a", "b", "c", "d"], ExactComplex: ["re", "im"],
+          Quaternion: ["t", "x", "y", "z"]}
+_ZEROS = {ExactScalar: ZERO, ExactComplex: C_ZERO, Quaternion: Q_ZERO}
+_TYPES = pytest.mark.parametrize("cls", list(_SLOTS), ids=lambda cls: cls.__name__)
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# zero coordinates come up often, so the zero short-cuts run
+field = st.one_of(st.just(ZERO), st.builds(ExactScalar, rationals),
+                  st.builds(ExactScalar, rationals, rationals, rationals, rationals))
+complexes = st.builds(ExactComplex, field, field)
+quats = st.builds(Quaternion, field, field, field, field)
+_VALUES = {ExactScalar: st.builds(ExactScalar, rationals, rationals, rationals, rationals),
+           ExactComplex: complexes, Quaternion: quats}
+
+
+def _sample(cls):
+    """A fixed element of `cls` with every coordinate nonzero."""
+    if cls is ExactScalar:
+        return ExactScalar(1, Fraction(-1, 2), 3, Fraction(2, 3))
+    return cls(*(ExactScalar(k, 1) for k in range(1, len(_SLOTS[cls]) + 1)))
+
+
+@_TYPES
+def test_element_is_immutable(cls):
+    x = _sample(cls)
+    for name in _SLOTS[cls] + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert x == _sample(cls)
+
+
+@_TYPES
+@pytest.mark.parametrize("v", [3, Fraction(-2, 3), ExactScalar(1, 1)],
+                         ids=["int", "Fraction", "ExactScalar"])
+def test_rational_and_field_operands_embed_on_either_side(cls, v):
+    x, w = _sample(cls), cls.coerce(v)
+    assert type(w) is cls and w == v and v == w
+    for got, want in ((x + v, x + w), (v + x, w + x), (x - v, x - w),
+                      (v - x, w - x), (x * v, x * w), (v * x, w * x)):
+        assert type(got) is cls and got == want
+
+
+@_TYPES
+def test_str_operand_is_a_type_error(cls):
+    x = _sample(cls)
+    for op in (lambda: x + "1", lambda: "1" + x, lambda: x - "1",
+               lambda: "1" - x, lambda: x * "1", lambda: "1" * x,
+               lambda: cls.coerce("1")):
+        with pytest.raises(TypeError):
+            op()
+    assert x != "1"
+
+
+@_TYPES
+def test_json_key_order_and_round_trip(cls):
+    x = _sample(cls)
+    doc = x.to_json()
+    assert list(doc) == _SLOTS[cls]
+    assert cls.from_json(json.loads(json.dumps(doc))) == x
+    assert cls.from_json(_ZEROS[cls].to_json()).is_zero()
+
+
+@_TYPES
+def test_repr_names_the_type(cls):
+    assert repr(_sample(cls)).startswith(cls.__name__ + "(")
+
+
+@_TYPES
+def test_zero_operand_identities(cls):
+    x, zero = _sample(cls), _ZEROS[cls]
+    for z in (0, Fraction(0), ZERO, zero):
+        assert x + z is x and z + x is x and x - z is x
+        assert z - x == -x
+        assert (x * z).is_zero() and (z * x).is_zero()
+    assert x * zero is zero and zero * x is zero
+    assert not zero and x
+
+
+@given(st.data())
+def test_zero_product_and_sum_keep_value_and_hash(data):
+    for cls, values in _VALUES.items():
+        x = data.draw(values)
+        zero = _ZEROS[cls]
+        assert x + zero == x and hash(x + zero) == hash(x)
+        assert (x * zero) == zero and hash(x * zero) == hash(0)
+
+
+@given(complexes, complexes)
+def test_complex_operations_match_coordinate_formulas(u, v):
+    a, b, c, d = u.re, u.im, v.re, v.im
+    assert u + v == ExactComplex(a + c, b + d)
+    assert u - v == ExactComplex(a - c, b - d)
+    assert -u == ExactComplex(-a, -b)
+    assert u * v == ExactComplex(a * c - b * d, a * d + b * c)
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p, q):
+    return [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0]]
+
+
+@given(quats, quats)
+def test_quaternion_operations_match_coordinate_formulas(p, q):
+    # the product in scalar-vector form: (s, v)(r, w) = (sr - v.w, sw + rv + v x w)
+    s, v = p.t, [p.x, p.y, p.z]
+    r, w = q.t, [q.x, q.y, q.z]
+    assert p + q == Quaternion(s + r, *(a + b for a, b in zip(v, w)))
+    assert p - q == Quaternion(s - r, *(a - b for a, b in zip(v, w)))
+    assert -p == Quaternion(-s, *(-a for a in v))
+    vec = [s * b + r * a + c for a, b, c in zip(v, w, _cross(v, w))]
+    assert p * q == Quaternion(s * r - _dot(v, w), *vec)

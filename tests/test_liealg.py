@@ -7,7 +7,7 @@ import pytest
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
 from sostar import liealg
 from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
-from sostar.liealg import (COMPLEX_EXACT, LieBasis, bracket,
+from sostar.liealg import (COMPLEX_EXACT, LieBasis, StructureTensor, bracket,
                            commutant_dimension, compact_generator_count,
                            killing, matrix_exp, structure_constants)
 from sostar.quaternion import Q_J, Quaternion
@@ -182,6 +182,26 @@ def test_su31_tensor_equals_both_sostar6_tensors(su31, so6_quat, so6_complex):
     f = su31.structure_constants()
     assert f == so6_complex.structure_constants()
     assert f == so6_quat.structure_constants()
+
+
+def test_structure_tensor_stores_no_zero_coefficient(a_basis, su31, so6_quat):
+    # tensor equality is the dataclass comparison of (dim, table), which is
+    # right only while a tensor has one table: no zero values, no empty rows
+    for basis in (a_basis, su31, so6_quat, generic_basis(SP_STAR, 2, 1, 1)):
+        table = basis.structure_constants().table
+        assert table and all(table.values())
+        assert not any(v.is_zero() for row in table.values() for v in row.values())
+
+
+def test_tensors_differing_in_one_coefficient_are_unequal(su31, so6_quat):
+    f = su31.structure_constants()
+    assert f == so6_quat.structure_constants()
+    key = min(f.table)
+    k = min(f.table[key])
+    changed = {**f.table, key: {**f.table[key], k: f.table[key][k] + 1}}
+    assert StructureTensor(f.dim, changed) != f
+    assert StructureTensor(f.dim, {p: r for p, r in f.table.items() if p != key}) != f
+    assert StructureTensor(f.dim + 1, f.table) != f
 
 
 def test_matrix_exp_identity():

@@ -4,7 +4,7 @@ Gauss-Jordan reference that rebuilds every row in full."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sostar import linalg
 from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar
@@ -129,15 +129,22 @@ def test_congruence_signature_obeys_sylvester(diagonal, data):
     assert linalg.congruence_signature(s) == want
 
 
+# [[1, 1, 0], [1, 1, 1], [0, 1, 0]]: after the first pivot the trailing block
+# has a zero diagonal, so the mixing step runs in the middle of the
+# elimination; the signature is (1, 2, 0)
+@example([1, 1, 0, 1, 1, 1, 0, 1, 0], 4)
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(
-    st.sampled_from([-1, 0, 0, 0, 1, 2]), min_size=n * n, max_size=n * n)))
-def test_congruence_signature_matches_eigenvalue_signs(cells):
-    # small integer forms, often with a zero diagonal; a nonzero eigenvalue is
-    # at least 1/8^3 in size here (the product of the nonzero ones is an
-    # integer and each is at most 8), so float signs are reliable
+    st.sampled_from([-1, 0, 0, 0, 1, 2]), min_size=n * n, max_size=n * n)),
+    st.integers(0, 4))
+def test_congruence_signature_matches_eigenvalue_signs(cells, zero_diagonal_from):
+    # small integer forms, often with a zero diagonal, which is all zero from
+    # row `zero_diagonal_from` on; a nonzero eigenvalue is at least 1/8^3 in
+    # size here (the product of the nonzero ones is an integer and each is at
+    # most 8), so float signs are reliable
     import numpy
     n = int(len(cells) ** 0.5)
-    m = [[cells[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    m = [[0 if i == j >= zero_diagonal_from else cells[min(i, j) * n + max(i, j)]
+          for j in range(n)] for i in range(n)]
     ev = numpy.linalg.eigvalsh(numpy.array(m, dtype=float))
     want = (int((ev < -1e-6).sum()), int((ev > 1e-6).sum()),
             int((abs(ev) <= 1e-6).sum()))
@@ -149,6 +156,10 @@ def test_congruence_signature_of_hyperbolic_forms():
     # an all-zero diagonal needs the off-diagonal mixing step
     assert linalg.congruence_signature([[ZERO, ExactScalar(1)],
                                         [ExactScalar(1), ZERO]]) == (1, 1, 0)
+    # a pivot first, then a trailing block with a zero diagonal
+    assert linalg.congruence_signature(
+        [[ExactScalar(x) for x in row]
+         for row in ([1, 1, 0], [1, 1, 1], [0, 1, 0])]) == (1, 2, 0)
     r2 = ExactScalar.sqrt2()
     assert linalg.congruence_signature([[ZERO, r2, ZERO], [r2, ZERO, ZERO],
                                         [ZERO, ZERO, ZERO]]) == (1, 1, 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sostar.quaternion import Quaternion
 from sostar.scalars import ExactComplex, ExactScalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -118,7 +119,7 @@ def test_complex_norm_is_conj_product():
 
 
 # Few distinct coordinates, so that equal values of different types (int,
-# Fraction, ExactScalar, ExactComplex) come up often.
+# Fraction, ExactScalar, ExactComplex, Quaternion) come up often.
 small = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2)])
 mixed_values = st.one_of(
     small,
@@ -127,6 +128,8 @@ mixed_values = st.one_of(
     st.builds(ExactScalar, small, small, small, small),
     st.builds(ExactComplex, small),
     st.builds(ExactComplex, st.builds(ExactScalar, small, small), small),
+    st.builds(Quaternion, st.builds(ExactScalar, small, small)),
+    st.builds(Quaternion, small, small, small, small),
 )
 
 
@@ -137,7 +140,7 @@ def test_equal_values_hash_equal(u, v):
 
 
 def test_equal_values_collapse_in_a_set():
-    assert len({ExactScalar(2), 2, Fraction(2), ExactComplex(2)}) == 1
+    assert len({ExactScalar(2), 2, Fraction(2), ExactComplex(2), Quaternion(2)}) == 1
     assert len({ExactScalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
     assert len({ExactScalar(1, 1), ExactComplex(ExactScalar(1, 1))}) == 1
 
