@@ -6,17 +6,25 @@ vectorized over the real coefficient field Q(sqrt2, sqrt3) by their `coords()`
 (four per quaternion entry, two per complex entry) and every bracket is
 expanded in the basis in a single batched elimination.  A bracket leaving the
 real span raises, which doubles as the closure check.
+
+The Killing matrix B_ij = Tr(ad_i ad_j) is summed on integer coordinates:
+every structure constant is scaled by one common denominator D to an int
+4-tuple over {1, sqrt2, sqrt3, sqrt6}, the traces are sums of products of
+such tuples over the sparse ad matrices, and each entry becomes one
+ExactScalar after a single division by D^2.  Its signature is then decided
+by exact congruence on that ExactScalar matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .hmatrix import CMatrix, HMatrix
-from .scalars import ExactComplex, ExactScalar
+from .scalars import ZERO, ExactComplex, ExactScalar
 
 QUATERNIONIC = "quaternionic"
 COMPLEX_EXACT = "complex-exact"
@@ -178,7 +186,9 @@ def structure_constants(basis: LieBasis) -> StructureTensor:
 class KillingData:
     """Killing form data for a basis.
 
-    `matrix` is the raw Killing matrix B_ij = Tr(ad_i ad_j).  `signature`
+    `matrix` is the raw Killing matrix B_ij = Tr(ad_i ad_j), a tuple of row
+    tuples so the memoized copy behind `LieBasis.killing()` cannot be
+    changed in place.  `signature`
     counts (negative, positive, null) directions of the invariant form used
     for compactness bookkeeping: on the Killing-nondegenerate part this is
     exactly the Killing signature; directions in the Killing radical (which
@@ -189,7 +199,7 @@ class KillingData:
     `index` is n_plus - n_minus.
     """
 
-    matrix: list
+    matrix: tuple
     signature: tuple[int, int, int]
     raw_signature: tuple[int, int, int]
     index: int
@@ -197,26 +207,15 @@ class KillingData:
 
 
 def killing(basis: LieBasis) -> KillingData:
-    tensor = basis.structure_constants()
-    n = tensor.dim
-    ad = []
-    for i in range(n):
-        row: dict = {}
-        for k in range(n):
-            for l, v in tensor.row(i, k).items():
-                row[(k, l)] = v
-        ad.append(row)
-    zero = ExactScalar(0)
-    b = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = zero
-            for (k, l), v in ad[i].items():
-                w = ad[j].get((l, k))
-                if w is not None:
-                    acc = acc + v * w
-            b[i][j] = acc
-            b[j][i] = acc
+    """Killing form of the basis and its (classified) signature.
+
+    The matrix B_ij = Tr(ad_i ad_j) is summed on integer coordinates by
+    `_killing_matrix`, with no field product in the trace loop.  Its
+    signature is decided exactly by congruence on the resulting ExactScalar
+    matrix, and Killing-null directions are classified by the trace form of
+    the defining representation.
+    """
+    b = _killing_matrix(basis.structure_constants())
     raw = linalg.congruence_signature(b)
     n_minus, n_plus, n_zero = raw
     classified = 0
@@ -229,6 +228,52 @@ def killing(basis: LieBasis) -> KillingData:
     sig = (n_minus, n_plus, n_zero)
     return KillingData(matrix=b, signature=sig, raw_signature=raw,
                        index=sig[1] - sig[0], radical_classified=classified)
+
+
+def _killing_matrix(tensor: StructureTensor) -> tuple:
+    """B_ij = Tr(ad_i ad_j) = sum_{k,l} f[i,k,l] f[j,l,k], as row tuples.
+
+    Every coefficient is scaled by the common denominator D (the lcm of all
+    coordinate denominators) to an int 4-tuple over {1, sqrt2, sqrt3, sqrt6},
+    so the trace sums run on Python ints with the product table of
+    `ExactScalar.__mul__`; each entry is divided by D^2 once at the end.
+    The ints stay Python ints: on dense data the scaled numerators reach
+    33 bits, so their products would overflow int64.
+    """
+    n = tensor.dim
+    den = 1
+    for row in tensor.table.values():
+        for v in row.values():
+            den = math.lcm(den, v.a.denominator, v.b.denominator,
+                           v.c.denominator, v.d.denominator)
+    # ad[i][(k, l)] = f[i, k, l], the (l, k) entry of ad_i
+    ad: list = [{} for _ in range(n)]
+    for (i, j), row in tensor.table.items():
+        for k, v in row.items():
+            t = tuple(x.numerator * (den // x.denominator)
+                      for x in (v.a, v.b, v.c, v.d))
+            ad[i][(j, k)] = t
+            ad[j][(i, k)] = tuple(-x for x in t)
+    den2 = den * den
+    b = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        adi = ad[i]
+        for j in range(i, n):
+            adj = ad[j]
+            sa = sb = sc = sd = 0
+            for (k, l), (a1, b1, c1, d1) in adi.items():
+                w = adj.get((l, k))
+                if w is not None:
+                    a2, b2, c2, d2 = w
+                    sa += a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2
+                    sb += a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)
+                    sc += a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
+                    sd += a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+            if sa or sb or sc or sd:
+                b[i][j] = b[j][i] = ExactScalar(
+                    Fraction(sa, den2), Fraction(sb, den2),
+                    Fraction(sc, den2), Fraction(sd, den2))
+    return tuple(map(tuple, b))
 
 
 def _classify_radical(basis: LieBasis, b) -> tuple[int, int, int]:

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
-from sostar import liealg
+from sostar import liealg, scalars
 from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
-from sostar.liealg import (COMPLEX_EXACT, LieBasis, StructureTensor, bracket,
-                           commutant_dimension, compact_generator_count,
-                           killing, matrix_exp, structure_constants)
+from sostar.liealg import (COMPLEX_EXACT, LieBasis, StructureTensor,
+                           _killing_matrix, bracket, commutant_dimension,
+                           compact_generator_count, killing, matrix_exp,
+                           structure_constants)
 from sostar.quaternion import Q_J, Quaternion
 from sostar.scalars import ExactComplex, ExactScalar
 
@@ -89,6 +90,155 @@ def test_killing_data_is_computed_once_per_basis(monkeypatch):
     twin = generic_basis(SO_STAR, 2)
     assert twin.killing().signature == basis.killing().signature
     assert calls == [basis, twin]
+
+
+# -- the Killing matrix on integer coordinates against a dense ExactScalar
+# reference, with a negative control and a work-count guard
+
+# coprime denominators: a common denominator other than their lcm, or a
+# division by D in place of D^2, changes some entry
+_DENOMINATORS = (3, 7, 2 ** 5)
+
+
+def reference_killing(tensor):
+    """Tr(ad_i ad_j) from dense ExactScalar ad matrices, (ad_i)[l][k] =
+    f[i, k, l], built one coefficient at a time with `StructureTensor.get`."""
+    n = tensor.dim
+    ad = [[[tensor.get(i, k, l) for k in range(n)] for l in range(n)]
+          for i in range(n)]
+    zero = ExactScalar(0)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for l in range(n):
+                for k in range(n):
+                    acc = acc + ad[i][l][k] * ad[j][k][l]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def first_difference(got, wanted):
+    """The first (i, j, got, wanted) where two square matrices differ."""
+    for i, (g_row, w_row) in enumerate(zip(got, wanted)):
+        for j, (g, w) in enumerate(zip(g_row, w_row)):
+            if g != w:
+                return i, j, g, w
+    return None
+
+
+def random_tensor(seed, n=6, fill=0.5):
+    """An antisymmetric tensor (not a Lie algebra) whose coefficients use all
+    four coordinates over the denominators 3, 7 and 32."""
+    rng = random.Random(seed)
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = {}
+            for k in range(n):
+                v = ExactScalar(*(
+                    Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
+                    for _ in range(4)))
+                if rng.random() < fill and not v.is_zero():
+                    row[k] = v
+            if row:
+                table[(i, j)] = row
+    return StructureTensor(n, table)
+
+
+@pytest.fixture(scope="module")
+def dense_sostar6():
+    gens = _dense_recombination(generic_basis(SO_STAR, 3).generators)
+    return LieBasis("dense_sostar6", "quaternionic", gens).structure_constants()
+
+
+@pytest.fixture(scope="module")
+def dense_sostar6_reference(dense_sostar6):
+    return reference_killing(dense_sostar6)
+
+
+def assert_matches_reference(tensor, wanted=None):
+    got = _killing_matrix(tensor)
+    wanted = reference_killing(tensor) if wanted is None else wanted
+    assert [len(row) for row in got] == [tensor.dim] * tensor.dim
+    assert first_difference(got, wanted) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_killing_matrix_matches_reference_on_random_tensors(seed):
+    tensor = random_tensor(seed)
+    denominators = {x.denominator for row in tensor.table.values()
+                    for v in row.values() for x in (v.a, v.b, v.c, v.d)}
+    assert set(_DENOMINATORS) <= denominators
+    assert_matches_reference(tensor)
+
+
+def test_killing_matrix_of_the_zero_tensor():
+    tensor = generic_basis(SO_STAR, 1).structure_constants()
+    assert tensor.table == {}
+    assert_matches_reference(tensor)
+    assert _killing_matrix(tensor) == ((ExactScalar(0),),)
+
+
+def test_killing_matrix_matches_reference_on_dense_sostar6(
+        dense_sostar6, dense_sostar6_reference):
+    irrational = [v for row in dense_sostar6.table.values() for v in row.values()
+                  if not v.is_rational()]
+    assert irrational
+    assert_matches_reference(dense_sostar6, dense_sostar6_reference)
+
+
+@pytest.mark.parametrize("kind, n", [(SO_STAR, 2), (SL_H, 2)],
+                         ids=["sostar4", "slH2"])
+def test_killing_matrix_matches_reference_on_generic_bases(kind, n):
+    assert_matches_reference(generic_basis(kind, n).structure_constants())
+
+
+def test_changed_coefficient_changes_the_killing_matrix(
+        dense_sostar6, dense_sostar6_reference):
+    # negative control: one structure constant times (1 + sqrt2)
+    wanted = dense_sostar6_reference
+    table = {pair: dict(row) for pair, row in dense_sostar6.table.items()}
+    pair = min(table)
+    k = min(table[pair])
+    table[pair][k] = table[pair][k] * ExactScalar(1, 1)
+    got = _killing_matrix(StructureTensor(dense_sostar6.dim, table))
+    witness = first_difference(got, wanted)
+    assert witness is not None
+    i, j, g, w = witness
+    print(f"Killing matrix differs at ({i}, {j}): got {g!r}, wanted {w!r}")
+    assert g != w
+
+
+def test_killing_matrix_makes_no_exact_scalar_product(dense_sostar6,
+                                                      monkeypatch):
+    calls = []
+    original = scalars.ExactScalar.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(scalars.ExactScalar, "__mul__", counting_mul)
+    monkeypatch.setattr(scalars.ExactScalar, "__rmul__", counting_mul)
+    ExactScalar(1, 1) * ExactScalar(0, 1)
+    2 * ExactScalar(0, 1)
+    assert len(calls) == 2  # the counter sees products on either side
+    calls.clear()
+    _killing_matrix(dense_sostar6)
+    assert calls == []
+
+
+def test_memoized_killing_matrix_is_read_only():
+    basis = generic_basis(SO_STAR, 2)
+    kd = basis.killing()
+    with pytest.raises(TypeError):
+        kd.matrix[0] = kd.matrix[1]
+    with pytest.raises(TypeError):
+        kd.matrix[0][0] = ExactScalar(1)
+    assert basis.killing().matrix == killing(generic_basis(SO_STAR, 2)).matrix
 
 
 def test_dependent_generators_rejected():
