@@ -4,8 +4,9 @@ signatures, commutant dimensions, and a float matrix exponential.
 Structure constants are computed by exact linear solves: generators are
 vectorized over the real coefficient field Q(sqrt2, sqrt3) by their `coords()`
 (four per quaternion entry, two per complex entry) and every bracket is
-expanded in the basis in a single batched elimination.  A bracket leaving the
-real span raises, which doubles as the closure check.
+expanded in the basis by one batched, fraction-free elimination on integer
+coordinates (`linalg.solve_batch`).  A bracket leaving the real span raises,
+which doubles as the closure check.
 
 The Killing matrix B_ij = Tr(ad_i ad_j) is summed on integer coordinates:
 every structure constant is scaled by one common denominator D to an int
@@ -241,19 +242,14 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
     33 bits, so their products would overflow int64.
     """
     n = tensor.dim
-    den = 1
-    for row in tensor.table.values():
-        for v in row.values():
-            den = math.lcm(den, v.a.denominator, v.b.denominator,
-                           v.c.denominator, v.d.denominator)
+    entries = [(i, j, k, v) for (i, j), row in tensor.table.items()
+               for k, v in row.items()]
+    den, coords = linalg._int_coords([e[3] for e in entries])
     # ad[i][(k, l)] = f[i, k, l], the (l, k) entry of ad_i
     ad: list = [{} for _ in range(n)]
-    for (i, j), row in tensor.table.items():
-        for k, v in row.items():
-            t = tuple(x.numerator * (den // x.denominator)
-                      for x in (v.a, v.b, v.c, v.d))
-            ad[i][(j, k)] = t
-            ad[j][(i, k)] = tuple(-x for x in t)
+    for (i, j, k, _), t in zip(entries, coords):
+        ad[i][(j, k)] = t
+        ad[j][(i, k)] = tuple(-x for x in t)
     den2 = den * den
     b = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -264,6 +260,7 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
             for (k, l), (a1, b1, c1, d1) in adi.items():
                 w = adj.get((l, k))
                 if w is not None:
+                    # the product table of ExactScalar.__mul__
                     a2, b2, c2, d2 = w
                     sa += a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2
                     sb += a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)
@@ -306,7 +303,7 @@ def _classify_radical(basis: LieBasis, b) -> tuple[int, int, int]:
 
 
 def _nullspace_basis(rows) -> list[list[ExactScalar]]:
-    n = len(rows)
+    n = len(rows[0])
     work = [list(r) for r in rows]
     pivots = linalg.rref(work)
     free = [c for c in range(n) if c not in pivots]

@@ -1,24 +1,35 @@
 """Exact dense linear algebra over the package's scalar fields.
 
-All routines work generically for any field-like entries supporting
-+, -, *, /, is_zero() (ExactScalar and ExactComplex both qualify).  Matrices
-are plain lists of row lists.  Nothing here ever rounds: pivoting picks the
-first nonzero entry, not the largest.  `rref` updates the row lists in place
-and touches only the pivot row's nonzero columns, so sparse systems are cheap.
-`congruence_signature` likewise updates, after each pivot, only the trailing
-block's rows and columns where the pivot row is nonzero.
+`rref`, `rank`, `nullspace_dimension` and `det_bareiss` work generically
+for any field-like entries supporting +, -, *, /, is_zero() (ExactScalar and
+ExactComplex both qualify).  Matrices are plain lists of row lists.  Nothing
+here ever rounds: pivoting picks the first nonzero entry, not the largest.
+`rref` updates the row lists in place and touches only the pivot row's
+nonzero columns, so sparse systems are cheap.  `congruence_signature`
+likewise updates, after each pivot, only the trailing block's rows and
+columns where the pivot row is nonzero.
+
+`solve_batch` takes ExactScalar entries only and solves on integer
+coordinates: each entry is an int 4-tuple over {1, sqrt2, sqrt3, sqrt6}, a
+row at a time over one common denominator, and the elimination is
+fraction-free in the spirit of Bareiss, so no Fraction is formed until the
+solutions are.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
+
+from .scalars import ZERO, ExactScalar
 
 
 def rref(rows: list[list], ncols: int | None = None):
     """In-place reduced row echelon form of `rows`; returns pivot column list.
 
     Only the first `ncols` columns are eliminated (trailing columns ride
-    along, which is how batched solves are done); defaults to all columns.
+    along); defaults to all columns.
     """
     if not rows:
         return []
@@ -64,32 +75,120 @@ def rank(rows: Sequence[Sequence]) -> int:
 def solve_batch(columns: list[list], targets: list[list]):
     """Solve B x = t for each target, where B has the given columns.
 
-    Returns a list of coefficient vectors (one per target).  Raises
-    ValueError if the columns are linearly dependent or some target is
-    outside their span.  One elimination pass serves every target.
+    Entries must be ExactScalars.  Returns a list of coefficient vectors (one
+    per target).  Raises ValueError if the columns are linearly dependent or
+    some target is outside their span.  One Gauss-Jordan pass over the
+    augmented system [columns | targets] serves every target, on integer
+    coordinates: each row is a sparse dict {column: (a, b, c, d)} of Python
+    ints over {1, sqrt2, sqrt3, sqrt6}, scaled by the lcm of its coordinate
+    denominators.  A pivot is made the rational integer N by multiplying its
+    row with the pivot's three nontrivial Galois conjugates; every other row
+    with an entry in that column becomes N*row - f*pivot_row; every row that
+    changes is divided by the gcd of its coordinates.  No row is ever
+    divided by a field element, so there is no Fraction until the solutions
+    x = row / N are built.  The reduced row echelon form is unique, so the
+    pivot row is chosen freely: the shortest candidate, to limit fill-in.
     """
     k = len(columns)
     if k == 0:
         raise ValueError("empty column set")
     m = len(columns[0])
-    ntarg = len(targets)
     rows = []
     for i in range(m):
-        row = [columns[j][i] for j in range(k)]
-        row.extend(targets[j][i] for j in range(ntarg))
-        rows.append(row)
-    pivots = rref(rows, ncols=k)
-    if len(pivots) < k:
-        raise ValueError("columns are linearly dependent")
-    sols = []
-    for j in range(ntarg):
-        col = k + j
-        # rows k..m-1 of the reduced system must vanish for solvability
-        for i in range(k, m):
-            if not rows[i][col].is_zero():
-                raise ValueError("target outside the span of the columns")
-        sols.append([rows[i][col] for i in range(k)])
+        entries = [col[i] for col in columns] + [t[i] for t in targets]
+        support = [j for j, v in enumerate(entries) if not v.is_zero()]
+        _, coords = _int_coords([entries[j] for j in support])
+        rows.append(dict(zip(support, coords)))
+    free = list(range(m))  # rows not yet used as a pivot row
+    pivot_rows = []
+    for col in range(k):
+        candidates = [i for i in free if col in rows[i]]
+        if not candidates:
+            raise ValueError("columns are linearly dependent")
+        p = min(candidates, key=lambda i: len(rows[i]))
+        free.remove(p)
+        pivot_rows.append(p)
+        prow = rows[p]
+        a, b, c, d = prow[col]
+        if b or c or d:
+            adj = _mul4(_mul4((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+            prow = {j: _mul4(x, adj) for j, x in prow.items()}
+        prow = rows[p] = _primitive(prow)
+        n = prow.pop(col)[0]  # put back after the loop, which skips prow
+        for i, row in enumerate(rows):
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            if n != 1:
+                row = {j: (n * a, n * b, n * c, n * d)
+                       for j, (a, b, c, d) in row.items()}
+            # row -= f * prow with the product table of ExactScalar.__mul__
+            fa, fb, fc, fd = f
+            fb2, fc3, fd6 = 2 * fb, 3 * fc, 6 * fd
+            fd2, fd3 = 2 * fd, 3 * fd
+            for j, (ya, yb, yc, yd) in prow.items():
+                ga = fa * ya + fb2 * yb + fc3 * yc + fd6 * yd
+                gb = fa * yb + fb * ya + fc3 * yd + fd3 * yc
+                gc = fa * yc + fc * ya + fb2 * yd + fd2 * yb
+                gd = fa * yd + fd * ya + fb * yc + fc * yb
+                x = row.get(j)
+                if x is None:
+                    row[j] = (-ga, -gb, -gc, -gd)
+                else:
+                    x = (x[0] - ga, x[1] - gb, x[2] - gc, x[3] - gd)
+                    if x[0] or x[1] or x[2] or x[3]:
+                        row[j] = x
+                    else:
+                        del row[j]
+            rows[i] = _primitive(row)
+        prow[col] = (n, 0, 0, 0)
+    # every column is a pivot column, so a row left over holds only targets
+    for i in sorted(free):
+        if rows[i]:
+            j = min(rows[i])
+            raise ValueError(
+                "target outside the span of the columns: target "
+                f"{j - k} leaves the residual {ExactScalar(*rows[i][j])!r} "
+                f"(up to a rational factor) in row {i}")
+    sols = [[ZERO] * k for _ in targets]
+    for col, p in enumerate(pivot_rows):
+        n = rows[p][col][0]
+        for j, (a, b, c, d) in rows[p].items():
+            if j >= k:
+                sols[j - k][col] = ExactScalar(Fraction(a, n), Fraction(b, n),
+                                               Fraction(c, n), Fraction(d, n))
     return sols
+
+
+def _int_coords(values):
+    """The ExactScalars `values` over one common denominator D, the lcm of all
+    their coordinate denominators: returns D and, per value, the int 4-tuple
+    D * (a, b, c, d) over {1, sqrt2, sqrt3, sqrt6}."""
+    den = 1
+    for v in values:
+        den = math.lcm(den, v.a.denominator, v.b.denominator,
+                       v.c.denominator, v.d.denominator)
+    return den, [tuple(x.numerator * (den // x.denominator)
+                       for x in (v.a, v.b, v.c, v.d)) for v in values]
+
+
+def _mul4(x, y):
+    """Product of two int 4-tuples, the table of ExactScalar.__mul__."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _primitive(row: dict) -> dict:
+    """`row` divided by the gcd of all its int coordinates."""
+    g = math.gcd(*(x for t in row.values() for x in t))
+    if g > 1:
+        row = {j: (a // g, b // g, c // g, d // g)
+               for j, (a, b, c, d) in row.items()}
+    return row
 
 
 def nullspace_dimension(rows: Sequence[Sequence]) -> int:

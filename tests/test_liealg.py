@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
-from sostar import liealg, scalars
+from sostar import liealg, linalg, scalars
 from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
 from sostar.liealg import (COMPLEX_EXACT, LieBasis, StructureTensor,
                            _killing_matrix, bracket, commutant_dimension,
@@ -51,22 +51,10 @@ def test_closure_error_for_non_closed_span():
         structure_constants(basis)
 
 
-def _dense_recombination(gens):
-    """g_i + sum over j > i of c_ij g_j with irrational c_ij: a unit triangular
-    change of basis, so the span is unchanged and every coordinate fills in."""
-    coeffs = (ExactScalar(1, 1), ExactScalar(Fraction(-1, 2), 0, 1),
-              ExactScalar(0, Fraction(1, 3), 0, -1))
-    out = []
-    for i, g in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            g = g + gens[j].scale(coeffs[(i + j) % 3])
-        out.append(g)
-    return out
-
-
-def test_dense_irrational_basis_closes_and_its_truncation_does_not():
+def test_dense_irrational_basis_closes_and_its_truncation_does_not(
+        dense_recombination):
     # positive and negative control for the sparse kernels on dense data
-    gens = _dense_recombination(generic_basis(SO_STAR, 2).generators)
+    gens = dense_recombination(generic_basis(SO_STAR, 2).generators)
     full = LieBasis("mixed", "quaternionic", gens)
     assert full.structure_constants().jacobi_holds()
     assert full.killing().signature == (4, 2, 0)
@@ -149,9 +137,8 @@ def random_tensor(seed, n=6, fill=0.5):
 
 
 @pytest.fixture(scope="module")
-def dense_sostar6():
-    gens = _dense_recombination(generic_basis(SO_STAR, 3).generators)
-    return LieBasis("dense_sostar6", "quaternionic", gens).structure_constants()
+def dense_sostar6(dense_sostar6_basis):
+    return dense_sostar6_basis.structure_constants()
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +275,22 @@ def test_killing_raw_form_vanishes_for_abelian_circle():
     assert kd.signature == (1, 0, 0)
     assert kd.radical_classified == 1
     assert compact_generator_count(basis) == 1
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[1, ExactScalar.sqrt2(), 0], [0, 1, ExactScalar(1, 0, 1)]], 2),
+    ([[1, 2], [2, 4], [0, 0]], 1),
+], ids=["wide", "tall"])
+def test_nullspace_basis_of_a_rectangular_matrix(rows, rank):
+    m = [[ExactScalar(1) * x for x in row] for row in rows]
+    ncols = len(m[0])
+    vecs = liealg._nullspace_basis(m)
+    assert len(vecs) == ncols - rank
+    for vec in vecs:
+        assert len(vec) == ncols
+        for row in m:
+            assert sum((a * x for a, x in zip(row, vec)), ExactScalar(0)) == 0
+    assert linalg.rank(vecs) == len(vecs)
 
 
 def test_compact_counts():

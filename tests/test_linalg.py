@@ -1,12 +1,16 @@
-"""Differential tests of the sparse elimination in `linalg` against a textbook
-Gauss-Jordan reference that rebuilds every row in full."""
+"""Differential tests of the elimination in `linalg` (the sparse `rref` and
+the integer-coordinate `solve_batch`) against a textbook Gauss-Jordan
+reference that rebuilds every row in full."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sostar import linalg
+from sostar import linalg, scalars
+from sostar.bases import SL_H, SO_STAR, generic_basis
+from sostar.liealg import bracket
 from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar
 
 # zero, rational, single-radical and dense irrational field elements
@@ -50,9 +54,10 @@ def _combination(coeffs, vectors, zero):
 
 
 @st.composite
-def _matrices(draw, field, max_rows=5, max_cols=6):
+def _matrices(draw, field, max_rows=5, max_cols=6, entry=None):
     """A matrix, sparse or dense, whose last row may depend on the others."""
-    zero, entry = _FIELDS[field]
+    zero, field_entry = _FIELDS[field]
+    entry = field_entry if entry is None else entry
     m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     if draw(st.booleans()):  # sparse: about half the entries vanish
         entry = st.one_of(st.just(zero), entry)
@@ -84,29 +89,136 @@ def test_rank_matches_reference(field, data):
     assert rows == before  # rank works on a copy
 
 
-@settings(deadline=None)
-@given(data=st.data())
-def test_solve_batch_matches_reference(data):
-    columns = data.draw(_matrices("real", max_rows=4, max_cols=6))
+def _reference_solve(columns, targets):
+    """solve_batch by `_reference_rref`: the solutions, or the start of the
+    error message that solve_batch must raise."""
     k, m = len(columns), len(columns[0])
-    entry = _FIELDS["real"][1]
-    targets = [_combination([data.draw(entry) for _ in range(k)], columns, ZERO)
-               for _ in range(data.draw(st.integers(1, 3)))]
-    if data.draw(st.booleans()):
-        targets.append([data.draw(entry) for _ in range(m)])
     system = [[col[i] for col in columns] + [t[i] for t in targets]
               for i in range(m)]
     pivots, reduced = _reference_rref(system, k)
     if len(pivots) < k:
-        with pytest.raises(ValueError, match="dependent"):
-            linalg.solve_batch(columns, targets)
-    elif any(not reduced[i][k + j].is_zero()
-             for j in range(len(targets)) for i in range(k, m)):
-        with pytest.raises(ValueError, match="outside the span"):
+        return "columns are linearly dependent"
+    if any(not reduced[i][k + j].is_zero()
+           for j in range(len(targets)) for i in range(k, m)):
+        return "target outside the span"
+    return [[reduced[i][k + j] for i in range(k)] for j in range(len(targets))]
+
+
+# every coordinate over one of the coprime denominators 3, 7 and 32, so a row
+# mixes them and only the lcm of its denominators clears them all
+_mixed_denominators = st.builds(ExactScalar, *[st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([3, 7, 32]))] * 4)
+
+
+def _check_solve_batch(entry, data):
+    columns = data.draw(_matrices("real", max_rows=4, max_cols=6, entry=entry))
+    k, m = len(columns), len(columns[0])
+    targets = [_combination([data.draw(entry) for _ in range(k)], columns, ZERO)
+               for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        targets.append([data.draw(entry) for _ in range(m)])
+    want = _reference_solve(columns, targets)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
             linalg.solve_batch(columns, targets)
     else:
-        want = [[reduced[i][k + j] for i in range(k)] for j in range(len(targets))]
         assert linalg.solve_batch(columns, targets) == want
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_solve_batch_matches_reference(data):
+    _check_solve_batch(_scalar, data)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_solve_batch_matches_reference_with_mixed_denominators(data):
+    _check_solve_batch(_mixed_denominators, data)
+
+
+# -- the structure-constant systems of whole bases: one column per generator,
+# one target per bracket [g_i, g_j], i < j
+
+def _bracket_system(basis):
+    gens = basis.generators
+    return ([g.coords() for g in gens],
+            [bracket(gens[i], gens[j]).coords()
+             for i in range(len(gens)) for j in range(i + 1, len(gens))])
+
+
+@pytest.fixture(scope="module")
+def dense_system(dense_sostar6_basis):
+    return _bracket_system(dense_sostar6_basis)
+
+
+def test_solve_batch_matches_reference_on_dense_sostar6(dense_system):
+    columns, targets = dense_system
+    assert any(not v.is_rational() for t in targets for v in t)
+    got = linalg.solve_batch(columns, targets)
+    want = _reference_solve(columns, targets)
+    assert len(got) == len(want) == len(targets)
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"target {j}"
+
+
+@pytest.mark.parametrize("kind, n", [(SO_STAR, 4), (SL_H, 2)],
+                         ids=["sostar8", "slH2"])
+def test_solve_batch_matches_reference_on_generic_bases(kind, n):
+    columns, targets = _bracket_system(generic_basis(kind, n))
+    assert linalg.solve_batch(columns, targets) == _reference_solve(columns,
+                                                                    targets)
+
+
+def test_target_off_the_span_raises_with_a_witness(dense_system):
+    # negative control: sqrt6 added to one coordinate of the first target,
+    # a coordinate whose unit vector lies outside the column span
+    columns, targets = dense_system
+    k, m = len(columns), len(columns[0])
+    unit = [[ExactScalar(int(i == c)) for i in range(m)] for c in range(m)]
+    c = next(c for c in range(m) if any(not col[c].is_zero() for col in columns)
+             and linalg.rank(columns + [unit[c]]) == k + 1)
+    bad = [list(t) for t in targets]
+    bad[0][c] = bad[0][c] + ExactScalar.sqrt6()
+    with pytest.raises(ValueError, match="target outside the span") as err:
+        linalg.solve_batch(columns, bad)
+    print(err.value)
+    assert re.search(r"target 0 leaves the residual ExactScalar\(.+\) "
+                     r"\(up to a rational factor\) in row \d+$", str(err.value))
+
+
+def test_duplicated_column_times_an_irrational_is_dependent(dense_system):
+    columns, targets = dense_system
+    scaled = [v * ExactScalar(1, 1) for v in columns[0]]
+    for more in (targets, []):
+        with pytest.raises(ValueError, match="columns are linearly dependent"):
+            linalg.solve_batch(columns + [scaled], more)
+
+
+def test_solve_batch_with_no_targets():
+    # a one-dimensional basis has no brackets to expand
+    columns, targets = _bracket_system(generic_basis(SO_STAR, 1))
+    assert targets == []
+    assert linalg.solve_batch(columns, targets) == []
+
+
+def test_solve_batch_makes_no_exact_scalar_product(dense_system, monkeypatch):
+    columns, targets = dense_system
+    calls = []
+    original = scalars.ExactScalar.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(scalars.ExactScalar, "__mul__", counting_mul)
+    monkeypatch.setattr(scalars.ExactScalar, "__rmul__", counting_mul)
+    ExactScalar(1, 1) * ExactScalar(0, 1)
+    2 * ExactScalar(0, 1)
+    assert len(calls) == 2  # the counter sees products on either side
+    calls.clear()
+    linalg.solve_batch(columns, targets)
+    assert calls == []
 
 
 @settings(deadline=None)
