@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .hmatrix import CMatrix, HMatrix
-from .scalars import ZERO, ExactComplex, ExactScalar
+from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints
 
 QUATERNIONIC = "quaternionic"
 COMPLEX_EXACT = "complex-exact"
@@ -267,9 +266,7 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
                     sc += a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
                     sd += a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
             if sa or sb or sc or sd:
-                b[i][j] = b[j][i] = ExactScalar(
-                    Fraction(sa, den2), Fraction(sb, den2),
-                    Fraction(sc, den2), Fraction(sd, den2))
+                b[i][j] = b[j][i] = _from_ints(sa, sb, sc, sd, den2)
     return tuple(map(tuple, b))
 
 

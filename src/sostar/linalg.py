@@ -12,17 +12,16 @@ columns where the pivot row is nonzero.
 `solve_batch` takes ExactScalar entries only and solves on integer
 coordinates: each entry is an int 4-tuple over {1, sqrt2, sqrt3, sqrt6}, a
 row at a time over one common denominator, and the elimination is
-fraction-free in the spirit of Bareiss, so no Fraction is formed until the
-solutions are.
+fraction-free in the spirit of Bareiss: nothing is divided by a field
+element until the solutions are built.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .scalars import ZERO, ExactScalar
+from .scalars import ZERO, ExactScalar, _from_ints, _mul4
 
 
 def rref(rows: list[list], ncols: int | None = None):
@@ -85,9 +84,9 @@ def solve_batch(columns: list[list], targets: list[list]):
     row with the pivot's three nontrivial Galois conjugates; every other row
     with an entry in that column becomes N*row - f*pivot_row; every row that
     changes is divided by the gcd of its coordinates.  No row is ever
-    divided by a field element, so there is no Fraction until the solutions
-    x = row / N are built.  The reduced row echelon form is unique, so the
-    pivot row is chosen freely: the shortest candidate, to limit fill-in.
+    divided by a field element; the solutions are x = row / N.  The reduced
+    row echelon form is unique, so the pivot row is chosen freely: the
+    shortest candidate, to limit fill-in.
     """
     k = len(columns)
     if k == 0:
@@ -155,31 +154,16 @@ def solve_batch(columns: list[list], targets: list[list]):
         n = rows[p][col][0]
         for j, (a, b, c, d) in rows[p].items():
             if j >= k:
-                sols[j - k][col] = ExactScalar(Fraction(a, n), Fraction(b, n),
-                                               Fraction(c, n), Fraction(d, n))
+                sols[j - k][col] = _from_ints(a, b, c, d, n)
     return sols
 
 
 def _int_coords(values):
-    """The ExactScalars `values` over one common denominator D, the lcm of all
-    their coordinate denominators: returns D and, per value, the int 4-tuple
+    """The ExactScalars `values` over one common denominator D, the lcm of
+    their denominators: returns D and, per value, the int 4-tuple
     D * (a, b, c, d) over {1, sqrt2, sqrt3, sqrt6}."""
-    den = 1
-    for v in values:
-        den = math.lcm(den, v.a.denominator, v.b.denominator,
-                       v.c.denominator, v.d.denominator)
-    return den, [tuple(x.numerator * (den // x.denominator)
-                       for x in (v.a, v.b, v.c, v.d)) for v in values]
-
-
-def _mul4(x, y):
-    """Product of two int 4-tuples, the table of ExactScalar.__mul__."""
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+    den = math.lcm(*(v._den for v in values))
+    return den, [tuple(x * (den // v._den) for x in v._num) for v in values]
 
 
 def _primitive(row: dict) -> dict:

@@ -37,8 +37,8 @@ ScalarLike = Union[int, Fraction, ExactScalar]
 class Quaternion(_ExactElement):
     """t + x i + y j + z k with ExactScalar components."""
 
-    __slots__ = ("t", "x", "y", "z")
-    _parts = attrgetter(*__slots__)
+    __slots__ = _fields = ("t", "x", "y", "z")
+    _parts = attrgetter(*_fields)
     _part_from_json = ExactScalar.from_json
 
     def __init__(self, t: ScalarLike = 0, x: ScalarLike = 0,

@@ -4,12 +4,20 @@ extension by i.
 Every numeric coefficient appearing in the group/algebra constructions of
 this package (halves, quarters, 1/sqrt3, sqrt2/sqrt3, 1/(2*sqrt6), ...) lives
 in Q(sqrt2, sqrt3), so all constant matrices can be represented and compared
-with zero rounding error.  An element is stored as
+with zero rounding error.  An element
 
-    a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6)
+    (a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6)) / den
 
-with arbitrary-precision rational coordinates.  Equality is structural on the
-four coordinates; there is no epsilon anywhere in this module.
+is stored as four int numerators (a, b, c, d) over one positive int
+denominator den, in lowest terms: gcd(a, b, c, d, den) = 1, so zero is
+(0, 0, 0, 0) over 1 and every value has exactly one representation.  This is
+the usual integral-vector form of a number-field element (Cohen, A Course in
+Computational Algebraic Number Theory, section 4.2): a sum or product
+cross-multiplies Python ints and takes one gcd at the end, where four
+Fraction coordinates would take a gcd per coordinate and per operation.
+Equality is structural on the numerators and the denominator; there is no
+epsilon anywhere in this module.  The coordinates a, b, c, d read back as
+reduced Fractions.
 
 The exact number types (ExactScalar, ExactComplex here, Quaternion in
 `quaternion`) share one base, `_ExactElement`: immutability, one coercion rule
@@ -17,7 +25,8 @@ The exact number types (ExactScalar, ExactComplex here, Quaternion in
 coordinate-wise + and - that return the other operand when one is zero,
 equality and hashing, JSON keyed by coordinate name and repr.  Each type
 writes out its own constructor, zero test and product; a product with a zero
-factor is that type's zero constant.
+factor is that type's zero constant.  ExactScalar also writes out its own
++, -, == and hash on the integer numerators.
 """
 
 from __future__ import annotations
@@ -33,24 +42,14 @@ _SQRT6 = math.sqrt(6.0)
 
 RationalLike = Union[int, Fraction]
 
-# Every zero coordinate is this one Fraction, so zero tests are identity tests.
-_F0 = Fraction(0)
-
-
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x if x else _F0
-    if isinstance(x, int):
-        return Fraction(x) if x else _F0
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
 
 class _ExactElement:
-    """An immutable vector of coordinates, named by the subclass's `__slots__`.
+    """An immutable vector of coordinates named by the subclass's `_fields`.
 
-    A subclass sets `_parts = attrgetter(*__slots__)` and `_part_from_json`
-    (how one coordinate is read back from JSON), and writes out `__init__`
-    (which takes the coordinates in slot order), `is_zero` and `__mul__`.
+    A subclass sets `_fields` (the coordinate names, also the JSON keys),
+    `_parts = attrgetter(*_fields)` and `_part_from_json` (how one coordinate
+    is read back from JSON), and writes out `__init__` (which takes the
+    coordinates in field order), `is_zero` and `__mul__`.
     """
 
     __slots__ = ()
@@ -91,6 +90,8 @@ class _ExactElement:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.is_zero():
+            return self
         return type(self)(*map(neg, self._parts(self)))
 
     def __sub__(self, other):
@@ -124,29 +125,59 @@ class _ExactElement:
     def to_json(self) -> dict:
         return {name: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction)
                 else v.to_json()
-                for name, v in zip(self.__slots__, self._parts(self))}
+                for name, v in zip(self._fields, self._parts(self))}
 
     @classmethod
     def from_json(cls, obj: dict):
-        return cls(*(cls._part_from_json(obj[name]) for name in cls.__slots__))
+        return cls(*(cls._part_from_json(obj[name]) for name in cls._fields))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self._parts(self)))})"
 
 
-class ExactScalar(_ExactElement):
-    """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3)."""
+def _mul4(x, y):
+    """Product of two int 4-tuples over {1, sqrt2, sqrt3, sqrt6}: the
+    multiplication table of Q(sqrt2, sqrt3)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
 
-    __slots__ = ("a", "b", "c", "d")
-    _parts = attrgetter(*__slots__)
+
+def _coordinate(i: int, name: str) -> property:
+    return property(lambda self: Fraction(self._num[i], self._den),
+                    doc=f"The {name} coordinate, a reduced Fraction.")
+
+
+class ExactScalar(_ExactElement):
+    """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3), held as
+    int numerators over one positive int denominator in lowest terms."""
+
+    __slots__ = ("_num", "_den")
+    _fields = ("a", "b", "c", "d")
+    _parts = attrgetter(*_fields)
     _part_from_json = Fraction
+
+    a = _coordinate(0, "rational")
+    b = _coordinate(1, "sqrt2")
+    c = _coordinate(2, "sqrt3")
+    d = _coordinate(3, "sqrt6")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
                  c: RationalLike = 0, d: RationalLike = 0) -> None:
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-        object.__setattr__(self, "c", _frac(c))
-        object.__setattr__(self, "d", _frac(d))
+        for x in (a, b, c, d):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        # reduced Fractions over the lcm of their denominators share no factor
+        # with it, so the result is in lowest terms without a gcd
+        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        _set_num(self, (a.numerator * (den // a.denominator),
+                        b.numerator * (den // b.denominator),
+                        c.numerator * (den // c.denominator),
+                        d.numerator * (den // d.denominator)))
+        _set_den(self, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -164,48 +195,86 @@ class ExactScalar(_ExactElement):
 
     # -- ring/field operations --------------------------------------------
 
+    def __add__(self, other) -> "ExactScalar":
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        y = other._num
+        if y == _ZERO4:
+            return self
+        x = self._num
+        if x == _ZERO4:
+            return other
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        e1, e2 = self._den, other._den
+        if e1 == e2:
+            return _from_ints(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+        return _from_ints(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
+                          c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ExactScalar":
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        y = other._num
+        if y == _ZERO4:
+            return self
+        x = self._num
+        if x == _ZERO4:
+            return -other
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        e1, e2 = self._den, other._den
+        if e1 == e2:
+            return _from_ints(a1 - a2, b1 - b2, c1 - c2, d1 - d2, e1)
+        return _from_ints(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1,
+                          c1 * e2 - c2 * e1, d1 * e2 - d2 * e1, e1 * e2)
+
+    def __neg__(self) -> "ExactScalar":
+        a, b, c, d = self._num
+        if not (a or b or c or d):
+            return self
+        return _make((-a, -b, -c, -d), self._den)
+
     def __mul__(self, other) -> "ExactScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        x, y = self._num, other._num
+        if x == _ZERO4 or y == _ZERO4:
             return ZERO
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        den = self._den * other._den
         # fast path: both rational (the overwhelmingly common case)
-        if self.is_rational() and other.is_rational():
-            return ExactScalar(a1 * a2)
-        return ExactScalar(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        if not (x[1] or x[2] or x[3] or y[1] or y[2] or y[3]):
+            a = x[0] * y[0]
+            g = math.gcd(a, den)
+            return _make((a // g, 0, 0, 0), den // g)
+        a, b, c, d = _mul4(x, y)
+        return _from_ints(a, b, c, d, den)
 
     __rmul__ = __mul__
 
-    def _conj_sqrt2(self) -> "ExactScalar":
-        # Galois conjugate sending sqrt2 -> -sqrt2
-        return ExactScalar(self.a, -self.b, self.c, -self.d)
-
-    def _conj_sqrt3(self) -> "ExactScalar":
-        # Galois conjugate sending sqrt3 -> -sqrt3
-        return ExactScalar(self.a, self.b, -self.c, -self.d)
-
     def inverse(self) -> "ExactScalar":
         """Field inverse by rationalizing with the three Galois conjugates."""
-        if self.is_zero():
-            raise ZeroDivisionError("ExactScalar division by zero")
-        if self.is_rational():
-            return ExactScalar(1 / self.a)
-        g2 = self._conj_sqrt2()
-        g3 = self._conj_sqrt3()
-        g4 = g2._conj_sqrt3()
-        num = g2 * g3 * g4
-        norm = self * num
-        assert not (norm.b or norm.c or norm.d), "field norm must be rational"
-        inv = 1 / norm.a
-        return ExactScalar(num.a * inv, num.b * inv, num.c * inv, num.d * inv)
+        x = self._num
+        a, b, c, d = x
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("ExactScalar division by zero")
+            return _from_ints(self._den, 0, 0, 0, a)
+        # the conjugates sqrt2 -> -sqrt2, sqrt3 -> -sqrt3 and both
+        num = _mul4(_mul4((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+        norm, *rest = _mul4(x, num)
+        assert not any(rest), "field norm must be rational"
+        den = self._den
+        return _from_ints(num[0] * den, num[1] * den, num[2] * den,
+                          num[3] * den, norm)
 
     def __truediv__(self, other) -> "ExactScalar":
         other = self._coerce(other)
@@ -215,14 +284,30 @@ class ExactScalar(_ExactElement):
         other = self._coerce(other)
         return other if other is NotImplemented else other * self.inverse()
 
+    # -- value semantics ----------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ExactScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self) -> int:
+        # a rational value hashes like its Fraction (or int), as the base does
+        a, b, c, d = self._num
+        if b or c or d:
+            return hash(self._parts(self))
+        return hash(a) if self._den == 1 else hash(Fraction(a, self._den))
+
     # -- predicates, order, conversions -------------------------------------
 
     def is_zero(self) -> bool:
-        return (self.a is _F0 and self.b is _F0 and self.c is _F0
-                and self.d is _F0)
+        return self._num == _ZERO4
 
     def is_rational(self) -> bool:
-        return self.b is _F0 and self.c is _F0 and self.d is _F0
+        _, b, c, d = self._num
+        return not (b or c or d)
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1), decided algebraically.
@@ -230,9 +315,10 @@ class ExactScalar(_ExactElement):
         Writes the value as u + v*sqrt3 with u, v in Q(sqrt2) and resolves
         mixed-sign cases by comparing u^2 against 3 v^2; the inner Q(sqrt2)
         signs are resolved the same way against 2 q^2.  Never evaluates a
-        floating-point approximation.
+        floating-point approximation.  The denominator is positive, so the
+        numerators alone decide.
         """
-        return _sign_q23(self.a, self.b, self.c, self.d)
+        return _sign_q23(*self._num)
 
     def __lt__(self, other) -> bool:
         other = self._coerce(other)
@@ -254,23 +340,51 @@ class ExactScalar(_ExactElement):
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return (float(self.a) + float(self.b) * _SQRT2 +
-                float(self.c) * _SQRT3 + float(self.d) * _SQRT6)
+        # int true division is correctly rounded, as float(Fraction) is, so
+        # each coordinate gives the same float as its reduced Fraction
+        a, b, c, d = self._num
+        den = self._den
+        return a / den + b / den * _SQRT2 + c / den * _SQRT3 + d / den * _SQRT6
 
     def __repr__(self) -> str:
         parts = []
-        for coeff, tag in ((self.a, ""), (self.b, "*r2"), (self.c, "*r3"), (self.d, "*r6")):
+        for coeff, tag in zip(self._parts(self), ("", "*r2", "*r3", "*r6")):
             if coeff:
                 parts.append(f"{coeff}{tag}")
         return "ExactScalar(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _sign_rat(p: Fraction) -> int:
+_ZERO4 = (0, 0, 0, 0)
+_set_num = ExactScalar._num.__set__
+_set_den = ExactScalar._den.__set__
+
+
+def _make(num: tuple, den: int) -> ExactScalar:
+    """An ExactScalar with numerators `num` over `den`, already in lowest
+    terms with den > 0."""
+    x = object.__new__(ExactScalar)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
+    """(a + b*sqrt2 + c*sqrt3 + d*sqrt6) / den for ints with den != 0, brought
+    to lowest terms with a positive denominator."""
+    if den < 0:
+        a, b, c, d, den = -a, -b, -c, -d, -den
+    g = math.gcd(a, b, c, d, den)
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    return _make((a, b, c, d), den)
+
+
+def _sign_rat(p: int) -> int:
     return (p > 0) - (p < 0)
 
 
-def _sign_q2(p: Fraction, q: Fraction) -> int:
-    """Exact sign of p + q*sqrt2 with p, q rational."""
+def _sign_q2(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt2 with p, q rational (here ints)."""
     sp, sq = _sign_rat(p), _sign_rat(q)
     if sq == 0:
         return sp
@@ -282,7 +396,7 @@ def _sign_q2(p: Fraction, q: Fraction) -> int:
     return sp * _sign_rat(p * p - 2 * q * q)
 
 
-def _sign_q23(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> int:
+def _sign_q23(a: int, b: int, c: int, d: int) -> int:
     """Exact sign of (a + b*sqrt2) + (c + d*sqrt2)*sqrt3."""
     su = _sign_q2(a, b)
     sv = _sign_q2(c, d)
@@ -307,8 +421,8 @@ ZERO = ExactScalar(0)
 class ExactComplex(_ExactElement):
     """Complex number with ExactScalar real and imaginary parts."""
 
-    __slots__ = ("re", "im")
-    _parts = attrgetter(*__slots__)
+    __slots__ = _fields = ("re", "im")
+    _parts = attrgetter(*_fields)
     _part_from_json = ExactScalar.from_json
 
     def __init__(self, re=0, im=0) -> None:
@@ -342,6 +456,10 @@ class ExactComplex(_ExactElement):
     def __truediv__(self, other) -> "ExactComplex":
         other = self._coerce(other)
         return other if other is NotImplemented else self * other.inverse()
+
+    def __rtruediv__(self, other) -> "ExactComplex":
+        other = self._coerce(other)
+        return other if other is NotImplemented else other * self.inverse()
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()

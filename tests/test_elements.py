@@ -57,6 +57,19 @@ def test_rational_and_field_operands_embed_on_either_side(cls, v):
         assert type(got) is cls and got == want
 
 
+@pytest.mark.parametrize("cls", [ExactScalar, ExactComplex],
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("v", [3, Fraction(-2, 3), ExactScalar(1, 1)],
+                         ids=["int", "Fraction", "ExactScalar"])
+def test_division_embeds_on_either_side(cls, v):
+    x, w = _sample(cls), cls.coerce(v)
+    for got, want in ((x / v, x * w.inverse()), (v / x, w * x.inverse())):
+        assert type(got) is cls and got == want
+    assert v / x * x == v
+    with pytest.raises(TypeError):
+        "1" / x
+
+
 @_TYPES
 def test_str_operand_is_a_type_error(cls):
     x = _sample(cls)
@@ -90,6 +103,7 @@ def test_zero_operand_identities(cls):
         assert z - x == -x
         assert (x * z).is_zero() and (z * x).is_zero()
     assert x * zero is zero and zero * x is zero
+    assert -zero is zero
     assert not zero and x
 
 

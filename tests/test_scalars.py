@@ -1,10 +1,13 @@
+import functools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sostar.quaternion import Quaternion
-from sostar.scalars import ExactComplex, ExactScalar
+from sostar.scalars import ZERO, ExactComplex, ExactScalar, _from_ints
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
@@ -161,7 +164,7 @@ def test_zero_operand_identities(x):
 
 @given(scalars)
 def test_cancellation_gives_the_zero(x):
-    # zero tests compare against one shared zero coordinate, so every way of
+    # zero has one representation, (0, 0, 0, 0) over 1, so every way of
     # reaching zero must produce it
     for z in (x - x, x + (-x), ExactScalar.from_json((x - x).to_json())):
         assert z.is_zero() and not z
@@ -173,3 +176,183 @@ def test_zero_fractions_are_zero():
     assert ExactScalar(Fraction(0, 5), Fraction(0), 0, -Fraction(0)).is_zero()
     assert ExactScalar(1, Fraction(0, 7)).is_rational()
     assert not ExactScalar(0, 0, 0, Fraction(1, 9)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a Fraction-coordinate reference model.
+#
+# ExactScalar stores int numerators over one denominator.  The model below is
+# the arithmetic it replaced: a value is a 4-tuple of Fractions (a, b, c, d)
+# for a + b*sqrt2 + c*sqrt3 + d*sqrt6, with the product table, the
+# Galois-conjugate inverse, the algebraic sign and the float conversion
+# written out on those Fractions.
+# ---------------------------------------------------------------------------
+
+_R2, _R3, _R6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+
+
+def ref_mul(x, y, flip=1):
+    """The product table; `flip=-1` negates one term (a mutant model)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + flip * b1 * c2 + c1 * b2)
+
+
+def ref_inverse(x):
+    a, b, c, d = x
+    if not (b or c or d):
+        return (1 / a, Fraction(0), Fraction(0), Fraction(0))
+    num = ref_mul(ref_mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+    norm = ref_mul(x, num)
+    assert not any(norm[1:])
+    return tuple(v / norm[0] for v in num)
+
+
+def _ref_sign_q2(p, q):
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp if sp else sq
+    if sp == 0:
+        return sq
+    r = p * p - 2 * q * q
+    return sp * ((r > 0) - (r < 0))
+
+
+def ref_sign(x):
+    a, b, c, d = x
+    su, sv = _ref_sign_q2(a, b), _ref_sign_q2(c, d)
+    if sv == 0 or su == sv:
+        return su if su else sv
+    if su == 0:
+        return sv
+    return su * _ref_sign_q2(a * a + 2 * b * b - 3 * (c * c + 2 * d * d),
+                             2 * a * b - 6 * c * d)
+
+
+def ref_float(x):
+    a, b, c, d = x
+    return float(a) + float(b) * _R2 + float(c) * _R3 + float(d) * _R6
+
+
+def ref_hash(x):
+    return hash(x) if any(x[1:]) else hash(x[0])
+
+
+def ref_json(x):
+    return {name: f"{v.numerator}/{v.denominator}" for name, v in zip("abcd", x)}
+
+
+def coords(x: ExactScalar):
+    return (x.a, x.b, x.c, x.d)
+
+
+def disagreements(pairs, mul=ref_mul):
+    """The (operation, x, y) where ExactScalar and the model differ, for each
+    pair of 4-tuples of Fractions in `pairs`."""
+    out = []
+    for p, q in pairs:
+        x, y = ExactScalar(*p), ExactScalar(*q)
+        checks = [
+            ("+", coords(x + y), tuple(map(operator.add, p, q))),
+            ("-", coords(x - y), tuple(map(operator.sub, p, q))),
+            ("*", coords(x * y), mul(p, q)),
+            ("==", x == y, p == q),
+            ("hash", hash(x), ref_hash(p)),
+            ("to_json", x.to_json(), ref_json(p)),
+            ("sign", x.sign(), ref_sign(p)),
+            ("float", float(x).hex(), ref_float(p).hex()),
+        ]
+        if any(q):
+            checks += [("inverse", coords(y.inverse()), ref_inverse(q)),
+                       ("/", coords(x / y), mul(p, ref_inverse(q)))]
+        out += [(name, p, q) for name, got, want in checks if got != want]
+    return out
+
+
+# mixed denominators, and zero coordinates often
+coordinate = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-7, max_value=7, max_denominator=30))
+quadruple = st.tuples(coordinate, coordinate, coordinate, coordinate)
+
+
+@given(quadruple, quadruple)
+def test_arithmetic_matches_fraction_model(p, q):
+    assert disagreements([(p, q), (q, p), (p, p)]) == []
+
+
+def _dense_values(basis):
+    tensor = basis.structure_constants()
+    return sorted({coords(v) for row in tensor.table.values() for v in row.values()})
+
+
+def test_dense_structure_constants_match_fraction_model(dense_sostar6_basis):
+    values = _dense_values(dense_sostar6_basis)
+    assert len(values) > 50 and any(v[1] or v[2] or v[3] for v in values)
+    pairs = [(v, values[(7 * i + 3) % len(values)]) for i, v in enumerate(values)]
+    assert disagreements(pairs) == []
+
+
+def test_flipped_product_table_is_caught(dense_sostar6_basis):
+    # negative control: the same comparison rejects a model with one sign of
+    # its product table flipped (the b1*c2 term of the sqrt6 coordinate)
+    flipped = functools.partial(ref_mul, flip=-1)
+    values = _dense_values(dense_sostar6_basis)
+    pairs = [(v, values[(7 * i + 3) % len(values)]) for i, v in enumerate(values)]
+    bad = disagreements(pairs, mul=flipped)
+    assert bad and {name for name, _, _ in bad} <= {"*", "/"}
+    r2, r3 = coords(ExactScalar.sqrt2()), coords(ExactScalar.sqrt3())
+    assert [name for name, _, _ in disagreements([(r2, r3)], mul=flipped)] == ["*", "/"]
+
+
+# ---------------------------------------------------------------------------
+# Canonical form: int numerators over a positive denominator, gcd 1, and one
+# representation of zero.
+# ---------------------------------------------------------------------------
+
+def assert_canonical(x: ExactScalar):
+    num, den = x._num, x._den
+    assert all(type(v) is int for v in num) and type(den) is int
+    assert den > 0 and math.gcd(*num, den) == 1
+    if not any(num):
+        assert den == 1 and x.is_zero() and x == ZERO
+
+
+@given(scalars, scalars)
+def test_results_are_canonical(x, y):
+    results = [x, y, x + y, x - y, x * y, -x, y - y, x * 0]
+    if not y.is_zero():
+        results += [y.inverse(), x / y]
+    for z in results:
+        assert_canonical(z)
+
+
+def test_equal_values_have_one_representation():
+    u, v = ExactScalar(Fraction(2, 4), 2), ExactScalar(Fraction(1, 2), 2)
+    assert (u._num, u._den) == (v._num, v._den) == ((1, 4, 0, 0), 2)
+    assert u == v and hash(u) == hash(v) and u.to_json() == v.to_json()
+
+
+@pytest.mark.parametrize("ints, num, den", [
+    ((2, 4, 0, 6, -6), (-1, -2, 0, -3), 3),   # negative denominator, gcd 2
+    ((0, 0, 0, 0, -9), (0, 0, 0, 0), 1),      # zero over any denominator
+    ((3, 0, 0, 0, 3), (1, 0, 0, 0), 1),
+    ((-5, 7, 0, 1, 2), (-5, 7, 0, 1), 2),
+])
+def test_int_constructor_normalises(ints, num, den):
+    x = _from_ints(*ints)
+    assert (x._num, x._den) == (num, den)
+    assert_canonical(x)
+    assert coords(x) == tuple(Fraction(n, ints[4]) for n in ints[:4])
+
+
+def test_coordinates_are_read_only_reduced_fractions():
+    x = ExactScalar(Fraction(1, 6), Fraction(2, 3), 0, Fraction(-5, 2))
+    assert (x._num, x._den) == ((1, 4, 0, -15), 6)
+    assert coords(x) == (Fraction(1, 6), Fraction(2, 3), Fraction(0), Fraction(-5, 2))
+    assert all(type(v) is Fraction for v in coords(x))
+    with pytest.raises(AttributeError):
+        x.a = Fraction(1)
+
