@@ -38,6 +38,11 @@ class VerificationReport:
             self.witnesses.append((f"FAILED: {description}", payload))
         return ok
 
+    def failures(self) -> list[str]:
+        """Descriptions of the failed sub-checks, as given to `check`."""
+        return [d.removeprefix("FAILED: ") for d, _ in self.witnesses
+                if d.startswith("FAILED: ")]
+
     def to_json_dict(self) -> dict:
         return {
             "claim_id": self.claim_id,

@@ -1,14 +1,46 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from sostar import cli
 from sostar.bases import (SO_STAR, basis_sostar4_A, basis_sostar6_complex,
                           basis_sostar6_quat, basis_su2_sl2_S, basis_su31,
                           generic_basis)
-from sostar.liealg import LieBasis
+from sostar.liealg import COMPLEX_EXACT, LieBasis
 from sostar.scalars import ExactScalar
 from sostar.clifford import spin26_generators
 from sostar.triality import transformed_spin_reps
+
+
+@pytest.fixture(scope="session")
+def suite_runs():
+    """Every `sostar verify` suite run once through the CLI's suite table at
+    the default tolerance: suite name -> (report, wall seconds)."""
+    runs = {}
+    for name in cli.SUITES:
+        t0 = time.monotonic()
+        report = cli.run_suite(name, cli.DEFAULT_TOL)
+        runs[name] = (report, time.monotonic() - t0)
+    return runs
+
+
+@pytest.fixture
+def verify_suite(monkeypatch, capsys):
+    """Run `sostar verify --suite NAME` once; return its exit code, its stdout
+    and the report the suite's verifier returned."""
+    def run(name):
+        reports = []
+        verifier = getattr(cli, f"verify_{name}")
+
+        def recorded(*args):
+            reports.append(verifier(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, f"verify_{name}", recorded)
+        code = cli.main(["verify", "--suite", name])
+        return code, capsys.readouterr().out, reports[0]
+    return run
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +66,14 @@ def s_basis():
 @pytest.fixture(scope="session")
 def su31():
     return basis_su31()
+
+
+@pytest.fixture(scope="session")
+def su31_unconjugated(su31):
+    """su(3,1) with the printed Gell-Mann su(3) corner, not its entry-wise
+    conjugate: s_1..s_8 are zero outside the corner, so conjugate them whole."""
+    gens = [g.conj() if k < 8 else g for k, g in enumerate(su31.generators)]
+    return LieBasis("su31", COMPLEX_EXACT, gens, su31.labels)
 
 
 @pytest.fixture(scope="session")

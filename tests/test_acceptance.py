@@ -2,28 +2,22 @@
 its stated tolerance.  Exact means exact: no epsilon is involved anywhere a
 criterion says so; float tolerances are pinned at 1e-9.
 
+Criteria 1-9, and the so*(4) half of criterion 11, read the named checks of
+the `sostar verify` suite reports (the `suite_runs` fixture), so each claim
+has one definition.  Criterion 10 and the block-basis commutant are in no
+suite and are computed here.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
-import math
 import random
-import time
 from fractions import Fraction
 
-from sostar.bases import (basis_sostar4_A, basis_sostar6_complex,
-                          basis_sostar6_quat, basis_su2_sl2_S, basis_su31,
-                          generic_basis, SO_STAR)
-from sostar.clifford import (PAIRS, check_sostar8_structure, cl7_basis,
-                             cl26_basis, dictionary_matrix, sostar8_generic,
-                             standard_quaternionic_structure, theta_to_a)
-from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
-from sostar.liealg import bracket, commutant_dimension, compact_generator_count, matrix_exp
+from sostar.bases import basis_su2_sl2_S
+from sostar.hmatrix import HMatrix
+from sostar.liealg import commutant_dimension
 from sostar.quaternion import Quaternion
-from sostar import linalg
-from sostar.isogeny import verify_tables
-from sostar.scalars import ExactComplex, ExactScalar
-from sostar.triality import apply_triality, triality_setup
 
 TOL = 1e-9
 
@@ -32,113 +26,96 @@ def _ok(num: int, text: str) -> None:
     print(f"ACCEPTANCE {num:2d}: PASS  {text}")
 
 
-def test_criterion_01_structure_constant_equality():
-    t0 = time.monotonic()
-    su31 = basis_su31()
-    so6c = basis_sostar6_complex()
-    so6q = basis_sostar6_quat()
-    f = su31.structure_constants()
-    assert f == so6c.structure_constants()
-    assert f == so6q.structure_constants()
-    elapsed = time.monotonic() - t0
-    assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
+def _assert_passed(report, *checks) -> None:
+    """Each named check was made in `report` and passed."""
+    failed = report.failures()
+    made = {d for d, _ in report.witnesses} | set(failed)
+    assert [c for c in checks if c not in made] == []
+    assert [c for c in checks if c in failed] == []
+
+
+def test_criterion_01_structure_constant_equality(suite_runs):
+    report, elapsed = suite_runs["sostar6"]
+    _assert_passed(report,
+                   "su(3,1) and complex so*(6) structure constants agree on "
+                   "all 15^3 components (exact)",
+                   "quaternionic and complex so*(6) bases share one structure "
+                   "tensor (exact)")
+    assert elapsed < 5.0, f"the sostar6 suite took {elapsed:.2f}s, budget 5s"
     _ok(1, f"su(3,1) and so*(6) structure constants agree on all 15^3 "
-           f"components exactly ({elapsed:.2f}s)")
+           f"components exactly (sostar6 suite {elapsed:.2f}s)")
 
 
-def test_criterion_02_center_witnesses():
-    su31 = basis_su31()
-    so6c = basis_sostar6_complex()
-    factor = math.sqrt(6.0) * math.pi
-    up = matrix_exp(su31.generators[14].to_numpy() * factor)
-    assert max_abs_diff(up, CMatrix.diag([ExactComplex(0, 1)] * 4).to_numpy()) <= TOL
-    down = matrix_exp(so6c.generators[14].to_numpy() * factor)
-    assert max_abs_diff(down, CMatrix.diag([-1] * 6).to_numpy()) <= TOL
+def test_criterion_02_center_witnesses(suite_runs):
+    report, _ = suite_runs["sostar6"]
+    assert report.tolerance_used == TOL
+    _assert_passed(report, "exp(sqrt6 pi s_15) = i I_4",
+                   "exp(sqrt6 pi a_15) = -I_6")
     _ok(2, "exp(sqrt6 pi s15) = i I_4 and exp(sqrt6 pi a15) = -I_6 within 1e-9")
 
 
-def test_criterion_03_double_cover_kernel():
-    a_basis = basis_sostar4_A()
-    s_basis = basis_su2_sl2_S()
-    for i in range(3):
-        for j in range(3, 6):
-            assert bracket(a_basis.generators[i], a_basis.generators[j]).is_zero()
-    two_pi = 2 * math.pi
-    u1 = matrix_exp(s_basis.generators[0].to_numpy() * two_pi)
-    u5 = matrix_exp(s_basis.generators[4].to_numpy() * two_pi)
-    r1 = matrix_exp(a_basis.generators[0].embed().to_numpy() * two_pi)
-    r5 = matrix_exp(a_basis.generators[4].embed().to_numpy() * two_pi)
-    assert max_abs_diff(u1 @ u5, CMatrix.diag([-1] * 4).to_numpy()) <= TOL
-    assert max_abs_diff(r1 @ r5, CMatrix.identity(4).to_numpy()) <= TOL
+def test_criterion_03_double_cover_kernel(suite_runs):
+    report, _ = suite_runs["sostar4"]
+    assert report.tolerance_used == TOL
+    _assert_passed(report, "[A_{1..3}, A_{4..6}] = 0 exactly",
+                   "U_1 U_5 = -I_4 (center acts nontrivially upstairs)",
+                   "R_1 R_5 = I_4 (kernel of the induced cover)")
     _ok(3, "U1 U5 = -I_4, R1 R5 = I_4 within 1e-9; cross-commutators vanish "
            "exactly")
 
 
-def test_criterion_04_table_reproduction():
-    t0 = time.monotonic()
-    report = verify_tables()
-    elapsed = time.monotonic() - t0
-    assert report.passed, [d for d, _ in report.witnesses if d.startswith("FAILED")]
-    assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
+def test_criterion_04_table_reproduction(suite_runs):
+    report, elapsed = suite_runs["tables"]
+    assert report.failures() == []
+    _assert_passed(report, "so_star n=4: Killing signature (16, 12)",
+                   "sp_star n=3 (p,q)=(1,2): Killing signature (13, 8)",
+                   "sl_H n=3: index -7")
+    assert elapsed < 30.0, f"the tables suite took {elapsed:.2f}s, budget 30s"
     _ok(4, f"dimension/Killing signature/index reproduced for so*(n<=4), "
-           f"sp*(n<=3, all splits), sl(H^n, n<=3) ({elapsed:.2f}s)")
+           f"sp*(n<=3, all splits), sl(H^n, n<=3) (tables suite {elapsed:.2f}s)")
 
 
-def test_criterion_05_compact_counts():
-    for n in range(1, 5):
-        assert compact_generator_count(generic_basis(SO_STAR, n)) == n * n
+def test_criterion_05_compact_counts(suite_runs):
+    report, _ = suite_runs["tables"]
+    _assert_passed(report, *(f"so_star n={n}: compact generator count {n * n}"
+                             for n in range(1, 5)))
     _ok(5, "compact generator count n^2 for n = 1..4 by exact Killing "
            "diagonalization")
 
 
-def test_criterion_06_clifford_relations():
-    cl7 = cl7_basis()
-    cl7.validate()
-    cl26 = cl26_basis()
-    cl26.validate()
-    assert cl26.metric == [1, 1, -1, -1, -1, -1, -1, -1]
+def test_criterion_06_clifford_relations(suite_runs):
+    report, _ = suite_runs["sostar8"]
+    _assert_passed(report, "Cl(7,0) relations exact (21 pairs + 7 squares)",
+                   "Cl(2,6) relations exact with signature (+,+,-,-,-,-,-,-)")
     _ok(6, "Cl(7,0) and Cl(2,6) anticommutators and squares exact; "
            "signature (+,+,-,-,-,-,-,-)")
 
 
-def test_criterion_07_chiral_structure_checks(spin):
-    j = standard_quaternionic_structure()
-    assert (j @ j.conj() + CMatrix.identity(8)).is_zero()
-    for rep in ("L", "R"):
-        report = check_sostar8_structure(rep, spin)
-        assert report.passed
+def test_criterion_07_chiral_structure_checks(suite_runs):
+    report, _ = suite_runs["sostar8"]
+    # each sub-report also checks J J* = -I
+    _assert_passed(report, "structure checks (sostar8_structure_L)",
+                   "structure checks (sostar8_structure_R)")
     _ok(7, "J s* J^-1 = s and -s^T = s exact for all 28 generators of both "
            "chiral blocks; J J* = -I exact")
 
 
-def test_criterion_08_parameter_dictionary(spin):
-    for pair in PAIRS:
-        lhs = sostar8_generic(theta_to_a({pair: 1})).embed()
-        assert (lhs - spin.L[pair]).is_zero()
-    rows = [[ExactScalar(v) for v in row] for row in dictionary_matrix()]
-    assert linalg.rank(rows) == 28
+def test_criterion_08_parameter_dictionary(suite_runs):
+    report, _ = suite_runs["sostar8"]
+    _assert_passed(report, "dictionary identity embed(A(a(theta))) = sum "
+                           "theta L (28 planes)",
+                   "dictionary is a rank-28 bijection")
     _ok(8, "embed(A(a(theta))) = sum theta_ij L_ij exact on all 28 planes; "
            "rank-28 bijection")
 
 
-def test_criterion_09_triality_cycle(spin_reps):
-    left, right = spin_reps
-    quartets = triality_setup()
-    vector = apply_triality(quartets, left)
-    for m in vector.generators.values():
-        assert all(e.im.is_zero() for row in m.entries for e in row)
-    form = CMatrix.diag([1, 1, -1, -1, -1, -1, -1, -1])
-    for m in vector.generators.values():
-        assert (form @ (-m.transpose()) @ form - m).is_zero()
-    second = apply_triality(quartets, vector)
-    assert all((second.generators[p] - right.generators[p]).is_zero()
-               for p in PAIRS)
-    third = apply_triality(quartets, second)
-    assert all((third.generators[p] - left.generators[p]).is_zero()
-               for p in PAIRS)
-    t_l = left.as_lie_basis().structure_constants()
-    assert t_l == vector.as_lie_basis().structure_constants()
-    assert t_l == right.as_lie_basis().structure_constants()
+def test_criterion_09_triality_cycle(suite_runs):
+    report, _ = suite_runs["triality"]
+    _assert_passed(report, "vector basis is manifestly real",
+                   "vector basis satisfies I26 (-V^T) I26 = V",
+                   "second application lands exactly on the right-handed basis",
+                   "third application is the exact identity",
+                   "L, V, R share one structure tensor (exact)")
     _ok(9, "triality cycles L -> V -> R -> L exactly, preserves the structure "
            "tensor, cubes to the identity; V real and I_{2,6}-antisymmetric")
 
@@ -175,8 +152,10 @@ def test_criterion_10_property_suites():
             "100 random exact instances each, zero failures")
 
 
-def test_criterion_11_commutant_dimensions():
-    assert commutant_dimension(basis_sostar4_A().embedded()) == 1
+def test_criterion_11_commutant_dimensions(suite_runs):
+    report, _ = suite_runs["sostar4"]
+    _assert_passed(report, "embedded quaternionic representation has trivial "
+                           "commutant")
     assert commutant_dimension(basis_su2_sl2_S()) == 2
     _ok(11, "commutant dimension 1 for the embedded quaternionic so*(4) "
             "basis and 2 for the block basis (exact nullspace)")

@@ -119,3 +119,19 @@ def test_real_generators_of_su31(su31):
     real_labels = [lab for lab, g in zip(su31.labels, su31.generators)
                    if all(e.im.is_zero() for row in g.entries for e in row)]
     assert real_labels == ["s2", "s5", "s7", "s9", "s11", "s13"]
+
+
+def test_unconjugated_corner_flips_33_of_87_constants(su31, su31_unconjugated):
+    """The module docstring's claim: without the corner conjugation, 33 of the
+    87 nonzero structure constants flip sign and no other constant changes."""
+    def constants(basis):
+        return {(i, j, k): v for (i, j), row in
+                basis.structure_constants().table.items() for k, v in row.items()}
+
+    conj, plain = constants(su31), constants(su31_unconjugated)
+    assert len(conj) == 87
+    assert plain.keys() == conj.keys()
+    flipped = [key for key in conj if plain[key] == -conj[key]]
+    assert len(flipped) == 33
+    assert [key for key in conj
+            if key not in flipped and plain[key] != conj[key]] == []

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sostar import cli
+from sostar import cli, isogeny
 from sostar.report import VerificationReport
 
 
@@ -34,15 +34,38 @@ def test_verify_exit_one_on_failed_claim(monkeypatch, capsys):
     failing = VerificationReport(claim_id="synthetic")
     failing.check("always broken", False, None)
 
-    def fake_run_suite(name, tol):
-        return [failing]
-
-    monkeypatch.setattr(cli, "_run_suite", fake_run_suite)
+    monkeypatch.setattr(cli, "verify_sostar2", lambda tol: failing)
     code = cli.main(["verify", "--suite", "sostar2"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
     assert "always broken" in out
+
+
+def test_verify_runs_a_verifier_rebound_in_every_module(monkeypatch, capsys):
+    """Rebinding isogeny.verify_sostar2 in every sostar module that imported
+    it, as perfbench's tracer does, changes what `sostar verify` runs."""
+    original = isogeny.verify_sostar2
+    calls = []
+
+    def traced(tol):
+        calls.append(tol)
+        return original(tol)
+
+    for key, module in sorted(sys.modules.items()):
+        if key == "sostar" or key.startswith("sostar."):
+            if getattr(module, "verify_sostar2", None) is original:
+                monkeypatch.setattr(module, "verify_sostar2", traced)
+    assert cli.main(["verify", "--suite", "sostar2", "--tol", "1e-6"]) == 0
+    capsys.readouterr()
+    assert calls == [1e-6]
+
+
+def test_verify_exit_two_on_unwritable_report_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert cli.main(["verify", "--suite", "sostar2", "--json", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_verify_rejects_unknown_suite():
@@ -118,6 +141,12 @@ def test_export_spin_bases(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["generators"]) == 28
     assert doc["killing_signature"] == [16, 12, 0]
+
+
+def test_export_exit_two_on_unwritable_output_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["export", "--family", "su31", "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_export_byte_identical(tmp_path, capsys):

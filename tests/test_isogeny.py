@@ -1,16 +1,16 @@
-from sostar.isogeny import (table_row, verify_sostar2, verify_sostar4,
-                            verify_sostar6, verify_tables)
+from sostar import isogeny
+from sostar.isogeny import table_row, verify_sostar4
 from sostar.report import VerificationReport, dumps
 
 
-def test_sostar2_passes():
-    report = verify_sostar2()
+def test_sostar2_passes(suite_runs):
+    report, _ = suite_runs["sostar2"]
     assert report.passed
     assert any("rotation by theta" in d for d, _ in report.witnesses)
 
 
-def test_sostar4_passes():
-    report = verify_sostar4()
+def test_sostar4_passes(suite_runs):
+    report, _ = suite_runs["sostar4"]
     assert report.passed
     descriptions = [d for d, _ in report.witnesses]
     assert any("U_1 U_5" in d for d in descriptions)
@@ -18,8 +18,8 @@ def test_sostar4_passes():
     assert any("commutant" in d for d in descriptions)
 
 
-def test_sostar6_passes():
-    report = verify_sostar6()
+def test_sostar6_passes(suite_runs):
+    report, _ = suite_runs["sostar6"]
     assert report.passed
     descriptions = [d for d, _ in report.witnesses]
     assert any("15^3" in d for d in descriptions)
@@ -27,11 +27,22 @@ def test_sostar6_passes():
     assert any("-I_6" in d for d in descriptions)
 
 
-def test_tables_passes():
-    report = verify_tables()
+def test_tables_passes(suite_runs):
+    report, _ = suite_runs["tables"]
     assert report.passed
     # 4 so* + 9 sp* + 3 sl rows, three checks each, plus the compact counts
     assert len(report.witnesses) == 16 * 3 + 4
+
+
+def test_unconjugated_su31_fails_the_sostar6_equality(monkeypatch, verify_suite,
+                                                      su31_unconjugated):
+    monkeypatch.setattr(isogeny, "basis_su31", lambda: su31_unconjugated)
+    code, out, report = verify_suite("sostar6")
+    failed = ["su(3,1) and complex so*(6) structure constants agree on all "
+              "15^3 components (exact)"]
+    assert report.failures() == failed
+    assert code == 1
+    assert f"FAILED: {failed[0]}" in out
 
 
 def test_table_row_formulas():
@@ -57,8 +68,8 @@ def test_failed_checks_populate_witnesses():
     report.check("ok part", True, None)
     report.check("broken part", False, {"residual": 1.5})
     assert not report.passed
-    failed = [(d, v) for d, v in report.witnesses if d.startswith("FAILED")]
-    assert failed == [("FAILED: broken part", {"residual": 1.5})]
+    assert report.failures() == ["broken part"]
+    assert report.witnesses[1] == ("FAILED: broken part", {"residual": 1.5})
     doc = report.to_json_dict()
     assert doc["passed"] is False
     assert doc["witnesses"][1]["value"] == {"residual": 1.5}

@@ -1,13 +1,12 @@
 from fractions import Fraction
 
+from sostar import triality
 from sostar.clifford import PAIRS
 from sostar.hmatrix import CMatrix
-from sostar.liealg import bracket
 from sostar.scalars import ExactComplex, ExactScalar
-from sostar.triality import (B_FAMILIES, B_PRIME, ROW_SIGNS, VECTOR_SIGNS,
-                             apply_triality, g_matrix, h_matrix,
-                             is_real_matrix, respects_i26_antisymmetry,
-                             triality_setup, verify_triality)
+from sostar.triality import (B_FAMILIES, B_PRIME, ROW_SIGNS, apply_triality,
+                             g_matrix, h_matrix, triality_setup,
+                             verify_triality)
 
 
 def test_quartet_partition_covers_all_planes():
@@ -43,74 +42,15 @@ def test_transition_matrices_cube_to_identity():
     assert (g @ g @ g - ident).is_zero()
 
 
-def test_quartets_commute(spin_reps):
-    left, _ = spin_reps
-    groups = [B_PRIME] + [[B_FAMILIES[r][c] for r in range(4)] for c in range(6)]
-    for group in groups:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert bracket(left.generators[group[i]],
-                               left.generators[group[j]]).is_zero()
-
-
-def test_quartet_compactness_pattern(spin_reps):
-    left, _ = spin_reps
-
-    def sign(m):
-        return (m @ m).trace().re.sign()
-
-    assert all(sign(left.generators[p]) < 0 for p in B_PRIME)
-    for c in range(6):
-        signs = [sign(left.generators[B_FAMILIES[r][c]]) for r in range(4)]
-        assert signs == [1, 1, -1, -1]
-
-
-def test_transformed_bases_respect_orthogonal_structure(spin_reps):
-    left, right = spin_reps
-    for rep in (left, right):
-        for m in rep.generators.values():
-            assert respects_i26_antisymmetry(m)
-
-
-def test_vector_basis_real_and_planar(spin_reps):
+def test_triality_names_the_cycle_and_its_tensor_obeys_jacobi(spin_reps):
     left, _ = spin_reps
     quartets = triality_setup()
     vector = apply_triality(quartets, left)
     assert vector.name == "V"
-    for (i, j), m in vector.generators.items():
-        assert is_real_matrix(m)
-        assert respects_i26_antisymmetry(m)
-        assert m.entries[i][j] == ExactComplex(VECTOR_SIGNS[(i, j)])
-        for r in range(8):
-            for c in range(8):
-                if (r, c) not in ((i, j), (j, i)):
-                    assert m.entries[r][c].is_zero()
-
-
-def test_cycle_is_exact(spin_reps):
-    left, right = spin_reps
-    quartets = triality_setup()
-    vector = apply_triality(quartets, left)
     second = apply_triality(quartets, vector)
     assert second.name == "R"
-    for p in PAIRS:
-        assert (second.generators[p] - right.generators[p]).is_zero()
-    third = apply_triality(quartets, second)
-    assert third.name == "L"
-    for p in PAIRS:
-        assert (third.generators[p] - left.generators[p]).is_zero()
-
-
-def test_structure_tensor_shared(spin_reps):
-    left, right = spin_reps
-    quartets = triality_setup()
-    vector = apply_triality(quartets, left)
-    t_l = left.as_lie_basis().structure_constants()
-    t_v = vector.as_lie_basis().structure_constants()
-    t_r = right.as_lie_basis().structure_constants()
-    assert t_l == t_v
-    assert t_l == t_r
-    assert t_l.jacobi_holds()
+    assert apply_triality(quartets, second).name == "L"
+    assert left.as_lie_basis().structure_constants().jacobi_holds()
 
 
 def test_row_sign_convention_recorded():
@@ -119,5 +59,26 @@ def test_row_sign_convention_recorded():
 
 
 def test_full_suite(spin):
-    report = verify_triality(spin)
-    assert report.passed, [d for d, _ in report.witnesses if d.startswith("FAILED")]
+    assert verify_triality(spin).failures() == []
+
+
+def test_flipped_vector_sign_fails_only_the_plane_check(monkeypatch,
+                                                        verify_suite):
+    monkeypatch.setitem(triality.VECTOR_SIGNS, (0, 3), 1)
+    code, out, report = verify_suite("triality")
+    failed = ["each V_ij acts in its own plane with the catalogued sign"]
+    assert report.failures() == failed
+    assert code == 1
+    assert f"FAILED: {failed[0]}" in out
+
+
+def test_wrong_row_signs_break_the_cycle(monkeypatch, verify_suite):
+    monkeypatch.setattr(triality, "ROW_SIGNS", (1, 1, -1, -1))
+    code, out, report = verify_suite("triality")
+    failed = ["vector basis is manifestly real",
+              "each V_ij acts in its own plane with the catalogued sign",
+              "second application lands exactly on the right-handed basis",
+              "L, V, R share one structure tensor (exact)"]
+    assert report.failures() == failed
+    assert code == 1
+    assert all(f"FAILED: {d}" in out for d in failed)
