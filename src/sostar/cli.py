@@ -3,10 +3,11 @@
     sostar verify [--suite NAME] [--tol TOL] [--json PATH]     (0 < TOL <= 1e-3)
     sostar export --family NAME [--n N] [--p P] [--q Q] [--output PATH]
 
-Exit codes: 0 all claims passed, 1 a claim failed, 2 a usage error (such as
-a generic-family export above dimension MAX_EXPORT_DIM = 120) or an output
-path that cannot be written.  Output is deterministic: fixed suite order and
-17-significant-digit floats, so identical invocations give identical bytes.
+Exit codes: 0 all claims passed, 1 a claim failed (a verifier that raises
+fails its suite), 2 a usage error (such as a generic-family export above
+dimension MAX_EXPORT_DIM = 120) or an output path that cannot be written.
+Output is deterministic: fixed suite order and 17-significant-digit floats,
+so identical invocations give identical bytes.
 
 Each suite of the table `SUITES` runs the module global verify_<name>, looked
 up when it runs, so a rebound name (a tracer's wrapper) is what runs.  Its
@@ -38,9 +39,25 @@ MAX_TOL = 1e-3
 
 
 def run_suite(name: str, tol: float) -> VerificationReport:
-    """One suite's report, from the verifier the suite table names."""
+    """One suite's report, from the verifier the suite table names.
+
+    A verifier that raises fails its suite: the report holds one failed
+    check named by the exception, with the innermost frame as its witness,
+    and the traceback goes to stderr, so the other suites still run.
+    """
     verifier = globals()[f"verify_{name}"]
-    return verifier(tol) if SUITES[name] else verifier()
+    try:
+        return verifier(tol) if SUITES[name] else verifier()
+    except Exception as exc:
+        import os
+        import traceback
+        traceback.print_exc(file=sys.stderr)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        report = VerificationReport(claim_id=name)
+        report.check(f"{type(exc).__name__}: {exc}", False,
+                     f"raised at {os.path.basename(frame.filename)}:"
+                     f"{frame.lineno} in {frame.name}")
+        return report
 
 
 def _write(path: str, text: str) -> int:
@@ -88,8 +105,8 @@ _FIXED_FAMILIES = {
 
 # Largest algebra dimension that `export` builds for a generic family; the
 # exact structure constants take about dim^3 work.  The largest allowed
-# export, so*(16) (`--family sostar --n 8`, dimension 120), takes about 4.3 s
-# on a 2-core x86-64 Linux host with Python 3.11.
+# export, so*(16) (`--family sostar --n 8`, dimension 120), takes about 2 s
+# (1.7-2.3 s) on a 2-core x86-64 Linux host with Python 3.11.
 MAX_EXPORT_DIM = 120
 
 # export family -> (generic_basis family, algebra dimension for size n)

@@ -28,29 +28,30 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
-from .scalars import C_ONE, C_ZERO, ExactComplex, ExactScalar
+from .scalars import C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar
 
 DEFAULT_TOL = 1e-9
 
 
-def _sparse_product(left, right, zero) -> list[list]:
-    """Entries of left @ right, accumulating only products of nonzero entries.
+def _sparse_product(left, right) -> list[tuple]:
+    """Nonzero pattern of left @ right, row by row (Gustavson's row-wise
+    product): each nonzero left[i][k] meets only the nonzeros of row k of
+    `right`.
 
-    Each row of `right` is reduced once to its nonzero (column, entry) pairs,
-    so a zero on either side costs no multiplication.
+    Only the accumulated entries are tested for zero, so terms that cancel
+    leave no entry behind.
     """
     if left.cols != right.rows:
         raise ValueError("shape mismatch in matrix product")
-    right_nonzero = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
-                     for row in right.entries]
+    right_rows = right._nonzeros()
     out = []
-    for left_row in left.entries:
-        acc = [zero] * right.cols
-        for a, pairs in zip(left_row, right_nonzero):
-            if pairs and not a.is_zero():
-                for j, b in pairs:
-                    acc[j] = acc[j] + a * b
-        out.append(acc)
+    for left_row in left._nonzeros():
+        acc = {}
+        for k, a in left_row:
+            for j, b in right_rows[k]:
+                prev = acc.get(j)
+                acc[j] = a * b if prev is None else prev + a * b
+        out.append(tuple(sorted((j, e) for j, e in acc.items() if not e.is_zero())))
     return out
 
 
@@ -59,9 +60,15 @@ class _ExactMatrix:
 
     A subclass names its ring by the entry type `_entry` with its `_zero` and
     `_one`; the ring-specific operations live on the subclass.
+
+    Besides `entries`, a matrix holds its nonzero pattern: per row, the
+    (column, entry) pairs of its nonzero entries in column order.  The public
+    constructor computes it from `entries` when it is first needed; an
+    operation hands it to the trusted constructor `_from_nonzeros` together
+    with the result, so products, sums and coordinates touch only nonzeros.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_nz")
 
     _entry: type
     _zero: object
@@ -76,9 +83,49 @@ class _ExactMatrix:
         width = len(grid[0])
         if any(len(r) != width for r in grid):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
+        _set_entries(self, grid)
+        _set_rows(self, len(grid))
+        _set_cols(self, width)
+        _set_nz(self, None)
+
+    @classmethod
+    def _from_nonzeros(cls, cols: int, nonzeros: Sequence[tuple]):
+        """The matrix with `cols` columns whose rows hold the nonzero
+        (column, entry) pairs `nonzeros`, in column order.  Trusted: the
+        entries must already have the entry type and be nonzero."""
+        zero = cls._zero
+        grid = []
+        for pairs in nonzeros:
+            row = [zero] * cols
+            for j, e in pairs:
+                row[j] = e
+            grid.append(tuple(row))
+        m = object.__new__(cls)
+        _set_entries(m, tuple(grid))
+        _set_rows(m, len(grid))
+        _set_cols(m, cols)
+        _set_nz(m, tuple(nonzeros))
+        return m
+
+    def _nonzeros(self) -> tuple:
+        """Per row, the tuple of (column, entry) pairs of its nonzero
+        entries, in column order."""
+        nz = self._nz
+        if nz is None:
+            nz = tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
+                       for row in self.entries)
+            _set_nz(self, nz)
+        return nz
+
+    def _map_nonzeros(self, f):
+        """The matrix of f(e) at each nonzero entry e.  `f` must keep nonzero
+        entries nonzero, as negation, the involutions and multiplication by
+        a nonzero element do: both entry rings are division rings."""
+        return self._from_nonzeros(
+            self.cols, [tuple((j, f(e)) for j, e in row) for row in self._nonzeros()])
+
+    def _zeros_like(self):
+        return self._from_nonzeros(self.cols, ((),) * self.rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -112,22 +159,41 @@ class _ExactMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """op(self, other) entry-wise, for op = add or sub, merging the two
+        nonzero patterns row by row."""
         self._check_same_shape(other)
-        return type(self)([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+        zero = self._zero
+        out = []
+        for left_row, right_row in zip(self._nonzeros(), other._nonzeros()):
+            if right_row:
+                acc = dict(left_row)
+                for j, b in right_row:
+                    e = op(acc.get(j, zero), b)
+                    if e.is_zero():
+                        del acc[j]
+                    else:
+                        acc[j] = e
+                left_row = tuple(sorted(acc.items()))
+            out.append(left_row)
+        return self._from_nonzeros(self.cols, out)
+
+    def __add__(self, other):
+        return self._merge(other, self._entry.__add__)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return type(self)([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
+        return self._merge(other, self._entry.__sub__)
 
     def __neg__(self):
-        return type(self)([[-e for e in row] for row in self.entries])
+        return self._map_nonzeros(self._entry.__neg__)
 
     def transpose(self):
         """Plain transpose.  Not a homomorphism over the quaternions."""
-        return type(self)(list(zip(*self.entries)))
+        columns = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nonzeros()):
+            for j, e in row:
+                columns[j].append((i, e))
+        return self._from_nonzeros(self.rows, [tuple(c) for c in columns])
 
     def trace(self):
         if self.rows != self.cols:
@@ -138,7 +204,19 @@ class _ExactMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self._nonzeros())
+
+    def coords(self) -> list[ExactScalar]:
+        """Real coordinates in row-major order: (re, im) per complex entry,
+        (t, x, y, z) per quaternion entry."""
+        parts, k = self._entry._parts, len(self._entry._fields)
+        width = self.cols * k
+        out = [ZERO] * (self.rows * width)
+        for i, row in enumerate(self._nonzeros()):
+            for j, e in row:
+                start = i * width + j * k
+                out[start:start + k] = parts(e)
+        return out
 
     # -- value semantics and serialization -------------------------------------
 
@@ -164,6 +242,12 @@ class _ExactMatrix:
         return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
+_set_entries = _ExactMatrix.entries.__set__
+_set_rows = _ExactMatrix.rows.__set__
+_set_cols = _ExactMatrix.cols.__set__
+_set_nz = _ExactMatrix._nz.__set__
+
+
 class HMatrix(_ExactMatrix):
     """n x m matrix of quaternions, immutable, exact."""
 
@@ -171,23 +255,28 @@ class HMatrix(_ExactMatrix):
     _entry, _zero, _one = Quaternion, Q_ZERO, Q_ONE
 
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
-        return HMatrix(_sparse_product(self, other, Q_ZERO))
+        return HMatrix._from_nonzeros(other.cols, _sparse_product(self, other))
 
     def scale(self, s) -> "HMatrix":
         """Multiply every entry by a central (real field) scalar."""
         s = ExactScalar.coerce(s)
-        return HMatrix([[e.scale(s) for e in row] for row in self.entries])
+        if s.is_zero():
+            return self._zeros_like()
+        return self._map_nonzeros(lambda e: e.scale(s))
 
     def left_mul(self, q: Quaternion) -> "HMatrix":
-        return HMatrix([[q * e for e in row] for row in self.entries])
+        q = Quaternion.coerce(q)
+        if q.is_zero():
+            return self._zeros_like()
+        return self._map_nonzeros(q.__mul__)
 
     # -- involutions ---------------------------------------------------------
 
     def conj_entries(self) -> "HMatrix":
-        return HMatrix([[e.conj() for e in row] for row in self.entries])
+        return self._map_nonzeros(Quaternion.conj)
 
     def rev_entries(self) -> "HMatrix":
-        return HMatrix([[e.reversion() for e in row] for row in self.entries])
+        return self._map_nonzeros(Quaternion.reversion)
 
     def rev_transpose(self) -> "HMatrix":
         """Entry-wise reversion followed by transposition (anti-homomorphism)."""
@@ -197,10 +286,6 @@ class HMatrix(_ExactMatrix):
         """Entry-wise conjugation followed by transposition (anti-homomorphism)."""
         return self.conj_entries().transpose()
 
-    def coords(self) -> list[ExactScalar]:
-        """Real coordinates, four per quaternion entry in row-major order."""
-        return [c for row in self.entries for q in row for c in (q.t, q.x, q.y, q.z)]
-
     # -- embedding and determinant --------------------------------------------
 
     def embed(self) -> "CMatrix":
@@ -209,15 +294,16 @@ class HMatrix(_ExactMatrix):
         Multiplicative homomorphism M_n(H) -> M_2n(C); dagger maps to the
         complex conjugate-transpose and rev_transpose to the plain transpose.
         """
-        out = [[None] * (2 * self.cols) for _ in range(2 * self.rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                blk = self.entries[i][j].embed()
-                out[2 * i][2 * j] = blk[0][0]
-                out[2 * i][2 * j + 1] = blk[0][1]
-                out[2 * i + 1][2 * j] = blk[1][0]
-                out[2 * i + 1][2 * j + 1] = blk[1][1]
-        return CMatrix(out)
+        out = []
+        for row in self._nonzeros():
+            halves = ([], [])
+            for j, q in row:
+                for half, block_row in zip(halves, q.embed()):
+                    for col, e in enumerate(block_row, 2 * j):
+                        if not e.is_zero():
+                            half.append((col, e))
+            out += map(tuple, halves)
+        return CMatrix._from_nonzeros(2 * self.cols, out)
 
     def study_det(self) -> ExactComplex:
         """Determinant of the complex 2n x 2n image (exact Bareiss elimination).
@@ -242,21 +328,19 @@ class CMatrix(_ExactMatrix):
     _json_tags = {"mode": mode}
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        return CMatrix(_sparse_product(self, other, C_ZERO))
+        return CMatrix._from_nonzeros(other.cols, _sparse_product(self, other))
 
     def scale(self, s) -> "CMatrix":
         s = ExactComplex.coerce(s)
-        return CMatrix([[s * e for e in row] for row in self.entries])
+        if s.is_zero():
+            return self._zeros_like()
+        return self._map_nonzeros(s.__mul__)
 
     def conj(self) -> "CMatrix":
-        return CMatrix([[e.conj() for e in row] for row in self.entries])
+        return self._map_nonzeros(ExactComplex.conj)
 
     def dagger(self) -> "CMatrix":
         return self.conj().transpose()
-
-    def coords(self) -> list[ExactScalar]:
-        """Real coordinates, (re, im) per entry in row-major order."""
-        return [c for row in self.entries for e in row for c in (e.re, e.im)]
 
     def det(self) -> ExactComplex:
         if self.rows != self.cols:

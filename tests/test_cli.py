@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sostar import cli, isogeny
+from sostar import cli, isogeny, triality
 from sostar.report import VerificationReport
 
 
@@ -40,6 +40,27 @@ def test_verify_exit_one_on_failed_claim(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "always broken" in out
+
+
+def test_verifier_that_raises_fails_only_its_suite(monkeypatch, tmp_path,
+                                                   capsys):
+    # plane (6, 7) dropped from the quartets: the triality verifier raises
+    # KeyError: (6, 7) while the other five suites still run and pass
+    monkeypatch.setattr(triality, "B_PRIME", triality.B_PRIME[:3] + [(0, 1)])
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", "all", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[:2] for line in lines[:6]] == [
+        ["PASS", name] for name in list(cli.SUITES)[:5]] + [["FAIL", "triality"]]
+    assert lines[6:] == ["      - FAILED: KeyError: (6, 7)",
+                         "FAILED: 6 suite(s), tol = 1e-09"]
+    assert "Traceback" in captured.err and "KeyError: (6, 7)" in captured.err
+    suites = json.loads(path.read_bytes())["suites"]
+    assert [s["claims"][0]["passed"] for s in suites] == [True] * 5 + [False]
+    (witness,) = suites[-1]["claims"][0]["witnesses"]
+    assert witness["description"] == "FAILED: KeyError: (6, 7)"
+    assert witness["value"].startswith("raised at triality.py:")
 
 
 def test_verify_runs_a_verifier_rebound_in_every_module(monkeypatch, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sostar import clifford
 from sostar.clifford import (PAIRS, SIGN_FLIPS, check_sostar8_structure,
                              cl7_basis, cl26_basis, sostar8_generic,
                              theta_to_a, verify_sostar8)
@@ -111,3 +112,32 @@ def test_generic_element_requires_28_parameters():
 
 def test_full_suite_passes(spin):
     assert verify_sostar8(spin).failures() == []
+
+
+def test_misplaced_sign_flip_fails_the_dictionary_checks(monkeypatch,
+                                                         verify_suite):
+    # the flip on plane (4, 7) moved to plane (3, 7); "six conventional sign
+    # flips recorded" compares the generators' copy of SIGN_FLIPS with
+    # SIGN_FLIPS itself, so only the dictionary checks can see the mutant
+    monkeypatch.setattr(clifford, "SIGN_FLIPS", SIGN_FLIPS[:5] + [(3, 7)])
+    code, out, report = verify_suite("sostar8")
+    failed = ["dictionary identity at plane (3, 7)",
+              "dictionary identity at plane (4, 7)",
+              "dictionary identity embed(A(a(theta))) = sum theta L (28 planes)"]
+    assert report.failures() == failed
+    assert code == 1
+    assert all(f"FAILED: {d}" in out for d in failed)
+
+
+def test_flipped_dictionary_sign_fails_the_identity_and_the_bijection(
+        monkeypatch, verify_suite):
+    # a3 = theta_03 + theta_12 duplicates row a25, so plane (1, 2) no longer
+    # matches L_12 and the dictionary loses a rank
+    monkeypatch.setitem(clifford._DICTIONARY, 3, [(1, (0, 3)), (1, (1, 2))])
+    code, out, report = verify_suite("sostar8")
+    failed = ["dictionary identity at plane (1, 2)",
+              "dictionary identity embed(A(a(theta))) = sum theta L (28 planes)",
+              "dictionary is a rank-28 bijection"]
+    assert report.failures() == failed
+    assert code == 1
+    assert all(f"FAILED: {d}" in out for d in failed)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sostar.bases import generic_basis, SP_STAR, SO_STAR
+from sostar.liealg import bracket
 from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
                             from_blocks, i_pq, is_sostar_algebra, is_sostar_group,
                             is_sostar_group_embedded, is_spstar_algebra,
@@ -279,6 +280,87 @@ def test_product_with_a_zero_factor_is_zero():
     assert (a @ HMatrix.zeros(3, 2)) == HMatrix.zeros(3, 2)
     assert (HMatrix.zeros(1, 3) @ a).is_zero()
     assert (a.embed() @ CMatrix.zeros(6, 6)) == CMatrix.zeros(6, 6)
+
+
+# -- the cached nonzero pattern against a dense scan of the entries ------------
+
+def _dense_pattern(m):
+    return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
+                 for row in m.entries)
+
+
+def _dense_coords(m):
+    parts = (lambda q: (q.t, q.x, q.y, q.z)) if isinstance(m, HMatrix) else (
+        lambda e: (e.re, e.im))
+    return [c for row in m.entries for e in row for c in parts(e)]
+
+
+def _operation_results(a, b):
+    """Every operation that hands its result a nonzero pattern, applied to a
+    compatible pair (a, b)."""
+    ab = a @ b
+    results = [ab, a + a, a - a, -a, a.scale(2), a.scale(0), a.transpose(),
+               a + ab @ b.transpose(), ab - ab.scale(Fraction(1, 2)), ab - ab]
+    if isinstance(a, HMatrix):
+        results += [a.scale(ExactScalar.sqrt2()), a.left_mul(Q_J),
+                    a.conj_entries(), a.rev_entries(), a - a.rev_entries(),
+                    a.rev_transpose(), a.dagger(), a.embed(), ab.embed()]
+    else:
+        results += [a.scale(C_I), a.conj(), a - a.conj(), a.dagger()]
+    return results
+
+
+@settings(deadline=None)
+@given(st.one_of(_product_operands(HMatrix), _product_operands(CMatrix)))
+def test_operations_hand_over_the_dense_pattern(pair):
+    for m in _operation_results(*pair):
+        assert m._nz is not None  # handed over, not scanned later
+        assert m._nonzeros() == _dense_pattern(m)
+        rebuilt = type(m)(m.entries)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
+        assert rebuilt._nonzeros() == m._nonzeros()
+        assert m.is_zero() == (not any(_dense_pattern(m)))
+        assert m.coords() == _dense_coords(m)
+
+
+@settings(deadline=None)
+@given(st.one_of(_product_operands(HMatrix), _product_operands(CMatrix)))
+def test_cancelling_terms_leave_an_empty_pattern(pair):
+    a, b = pair
+    cls = type(a)
+    # [a | a] @ [b ; -b] = a b - a b: every accumulated sum cancels
+    left = cls([row + row for row in a.entries])
+    right = cls(list(b.entries) + [[-e for e in row] for row in b.entries])
+    square = a @ a.transpose()
+    for m in (a - a, left @ right, bracket(square, square), -(b - b)):
+        assert m._nonzeros() == ((),) * m.rows
+        assert m.is_zero()
+        assert m == cls.zeros(m.rows, m.cols)
+        assert hash(m) == hash(cls.zeros(m.rows, m.cols))
+
+
+@pytest.mark.parametrize("cls", [HMatrix, CMatrix], ids=lambda c: c.__name__)
+def test_products_sums_and_brackets_coerce_no_entry(cls, monkeypatch):
+    rng = random.Random(5)
+    a = _rand_hmatrix(rng, 3)
+    b = _rand_hmatrix(rng, 3).rev_entries()
+    if cls is CMatrix:
+        a, b = a.embed(), b.embed()
+    calls = []
+    entry_type = cls._entry
+    original = entry_type.coerce.__func__
+
+    def counting_coerce(klass, x):
+        calls.append(x)
+        return original(klass, x)
+
+    monkeypatch.setattr(entry_type, "coerce", classmethod(counting_coerce))
+    cls([[1]])
+    assert len(calls) == 1  # the public constructor still coerces
+    calls.clear()
+    for m in (a @ b, a + b, a - b, bracket(a, b)):
+        assert not m.is_zero()
+    assert calls == []
 
 
 @given(st.integers(1, 3).flatmap(
