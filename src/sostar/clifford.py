@@ -106,23 +106,32 @@ def spin26_generators() -> SpinBasisSet:
     Raises if any S_ij fails to be block diagonal (a construction bug).
     """
     gamma = cl26_basis().generators
-    half = ExactComplex(ExactScalar(Fraction(1, 2)))
     s_map, l_map, r_map = {}, {}, {}
     flip_set = set(SIGN_FLIPS)
     for (i, j) in PAIRS:
-        m = (gamma[i] @ gamma[j]).scale(half)
+        m = _half_product(gamma, i, j)
         if (i, j) in flip_set:
             m = -m
-        top_right = [[m.entries[r][c] for c in range(8, 16)] for r in range(8)]
-        bottom_left = [[m.entries[r][c] for c in range(8)] for r in range(8, 16)]
-        if any(not e.is_zero() for row in top_right for e in row) or \
-           any(not e.is_zero() for row in bottom_left for e in row):
+        top_left, top_right, bottom_left, bottom_right = _blocks(m)
+        if not (top_right.is_zero() and bottom_left.is_zero()):
             raise ValueError(f"S_{i}{j} has a nonzero off-diagonal block")
         s_map[(i, j)] = m
-        l_map[(i, j)] = CMatrix([[m.entries[r][c] for c in range(8)] for r in range(8)])
-        r_map[(i, j)] = CMatrix([[m.entries[r][c] for c in range(8, 16)]
-                                 for r in range(8, 16)])
+        l_map[(i, j)] = top_left
+        r_map[(i, j)] = bottom_right
     return SpinBasisSet(S=s_map, L=l_map, R=r_map, sign_flips=list(SIGN_FLIPS))
+
+
+def _half_product(gamma: list, i: int, j: int) -> CMatrix:
+    """Gamma_i Gamma_j / 2, before any sign flip."""
+    return (gamma[i] @ gamma[j]).scale(ExactComplex(ExactScalar(Fraction(1, 2))))
+
+
+def _blocks(m: CMatrix) -> list:
+    """The 8x8 blocks of a 16x16 matrix: top-left, top-right, bottom-left,
+    bottom-right."""
+    e = m.entries
+    return [CMatrix([row[c:c + 8] for row in e[r:r + 8]])
+            for r in (0, 8) for c in (0, 8)]
 
 
 def standard_quaternionic_structure() -> CMatrix:
@@ -291,9 +300,21 @@ def verify_sostar8(spin: SpinBasisSet | None = None) -> VerificationReport:
         rep.check("Cl(2,6) relations exact", False, str(exc))
     if spin is None:
         spin = spin26_generators()
-    rep.check("28 spin generators, block diagonal", len(spin.S) == 28)
-    rep.check("six conventional sign flips recorded",
-              spin.sign_flips == SIGN_FLIPS, spin.sign_flips)
+    # both checks read the generators themselves, not how they were built
+    off_diagonal = [pair for pair, m in sorted(spin.S.items())
+                    if not all(b.is_zero() for b in _blocks(m)[1:3])]
+    blocks_ok = len(spin.S) == 28 and not off_diagonal
+    rep.check("28 spin generators, block diagonal", blocks_ok,
+              None if blocks_ok else {"generators": len(spin.S),
+                                      "off_diagonal": off_diagonal})
+    # the planes whose L_ij is the negative of the unflipped Gamma_i Gamma_j / 2
+    flips = [pair for pair in PAIRS
+             if (spin.L[pair] + _blocks(_half_product(cl26.generators, *pair))[0])
+             .is_zero()]
+    flips_ok = len(flips) == 6 and flips == spin.sign_flips
+    rep.check("six conventional sign flips recorded", flips_ok,
+              flips if flips_ok else {"applied": flips,
+                                      "recorded": spin.sign_flips})
     for sub in (check_sostar8_structure("L", spin), check_sostar8_structure("R", spin)):
         rep.check(f"structure checks ({sub.claim_id})", sub.passed)
 

@@ -4,7 +4,11 @@ for the quaternionic matrix groups.
 Both matrix types share one exact, immutable base and differ only in their
 entry type: HMatrix entries are exact quaternions, CMatrix entries exact
 complex numbers (the 2x2 embedding of an HMatrix is a CMatrix).  Neither ever
-rounds, and their products skip zero entries.  Float matrices, which only
+rounds.  Every operation computes on an integer form of the matrix (one
+common denominator and the int numerators of the nonzero entries), which is
+the integral-vector form of ExactScalar (Cohen, A Course in Computational
+Algebraic Number Theory, section 4.2) applied to the whole matrix, and builds
+no element for an intermediate result.  Float matrices, which only
 exponentials produce, are complex numpy arrays: `CMatrix.to_numpy` is the one
 crossing from exact to float, and every float comparison takes an explicit
 tolerance, finite and nonnegative.
@@ -23,56 +27,191 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
-from .scalars import C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar
+from .scalars import C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _from_ints
 
 DEFAULT_TOL = 1e-9
 
+# -- the integer form ----------------------------------------------------------
+#
+# The integer form of a matrix is (den, rows, rational): one common positive
+# denominator, and per row a {column: ints} dict of its nonzero entries.  An
+# entry of a rational form holds one int per ring coordinate, k of them (k = 2
+# for complex, 4 for quaternion entries).  Otherwise it holds four blocks of k
+# ints, the rational ring elements that multiply 1, sqrt2, sqrt3 and sqrt6, in
+# that order, so ring coordinate p over {1, sqrt2, sqrt3, sqrt6} is t[p::k].
+# Basis elements u, v multiply to _FIELD_SQUARES[u & v] times element u ^ v
+# (bit 0 stands for sqrt2, bit 1 for sqrt3).  The dicts are never changed
+# once built, so forms share them freely.
 
-def _sparse_product(left, right) -> list[tuple]:
-    """Nonzero pattern of left @ right, row by row (Gustavson's row-wise
-    product): each nonzero left[i][k] meets only the nonzeros of row k of
-    `right`.
+_FIELD_SQUARES = (1, 2, 3, 6)
 
-    Only the accumulated entries are tested for zero, so terms that cancel
-    leave no entry behind.
-    """
-    if left.cols != right.rows:
-        raise ValueError("shape mismatch in matrix product")
-    right_rows = right._nonzeros()
+
+def _scalar(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
+    return _from_ints(a, b, c, d, den) if a or b or c or d else ZERO
+
+
+def _complex_mul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _hamilton_mul(x, y):
+    t1, x1, y1, z1 = x
+    t2, x2, y2, z2 = y
+    return (t1 * t2 - x1 * x2 - y1 * y2 - z1 * z2,
+            t1 * x2 + x1 * t2 + y1 * z2 - z1 * y2,
+            t1 * y2 - x1 * z2 + y1 * t2 + z1 * x2,
+            t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2)
+
+
+def _rational_rows(left, right, mul) -> list:
+    """Rows of the product of two rational forms, row by row (Gustavson's
+    row-wise product): each nonzero left[i][m] meets only the nonzeros of
+    row m of `right`, and only accumulated entries are tested for zero, so
+    terms that cancel leave no entry behind.  `mul` is the ring product of
+    two entries."""
     out = []
-    for left_row in left._nonzeros():
+    for lrow in left:
         acc = {}
-        for k, a in left_row:
-            for j, b in right_rows[k]:
-                prev = acc.get(j)
-                acc[j] = a * b if prev is None else prev + a * b
-        out.append(tuple(sorted((j, e) for j, e in acc.items() if not e.is_zero())))
+        for m, x in lrow.items():
+            for j, y in right[m].items():
+                p = mul(x, y)
+                s = acc.get(j)
+                acc[j] = p if s is None else tuple(map(add, s, p))
+        out.append({j: s for j, s in acc.items() if any(s)})
     return out
+
+
+def _blocks(rows, rational: bool, k: int) -> list:
+    """Each entry of a form as the list of its nonzero blocks (u, k ints)."""
+    if rational:
+        return [{j: [(0, t)] for j, t in row.items()} for row in rows]
+    return [{j: [(u, t[u * k:u * k + k]) for u in range(4) if any(t[u * k:u * k + k])]
+             for j, t in row.items()} for row in rows]
+
+
+def _field_rows(left, right, k: int, mul) -> list:
+    """Rows of the product of two forms given by `_blocks`, row by row as in
+    `_rational_rows`; `mul` is the ring product of two blocks."""
+    zero = (0,) * k
+    out = []
+    for lrow in left:
+        acc = {}
+        for m, xb in lrow.items():
+            for j, yb in right[m].items():
+                terms = acc.get(j)
+                if terms is None:
+                    terms = acc[j] = ([], [], [], [])
+                for u, xu in xb:
+                    for v, yv in yb:
+                        p = mul(xu, yv)
+                        c = _FIELD_SQUARES[u & v]
+                        terms[u ^ v].append(p if c == 1 else tuple(c * z for z in p))
+        row = {}
+        for j, terms in acc.items():
+            t = tuple(z for block in terms
+                      for z in (map(sum, zip(*block)) if block else zero))
+            if any(t):
+                row[j] = t
+        out.append(row)
+    return out
+
+
+def _product(cls, x: tuple, y: tuple) -> tuple:
+    """The form of the product of the matrices of type `cls` with forms x, y.
+    Its denominator is the product of theirs, so x@y and y@x share one."""
+    dx, left, xrat = x
+    dy, right, yrat = y
+    if xrat and yrat:
+        rows = _rational_rows(left, right, cls._ring_mul)
+    else:
+        k = len(cls._entry._fields)
+        rows = _field_rows(_blocks(left, xrat, k), _blocks(right, yrat, k), k,
+                           cls._ring_mul)
+    return dx * dy, rows, xrat and yrat
+
+
+def _rescaled(rows, f: int) -> list:
+    return rows if f == 1 else [{j: tuple(f * z for z in t) for j, t in row.items()}
+                                for row in rows]
+
+
+def _merge(x: tuple, y: tuple, op, k: int) -> tuple:
+    """The form of op(X, Y) for op = add or sub, merging the rows of the
+    forms x, y; entries that cancel are dropped."""
+    dx, left, xrat = x
+    dy, right, yrat = y
+    if xrat != yrat:  # pad the rational form with zero sqrt2, sqrt3, sqrt6 blocks
+        pad = (0,) * (3 * k)
+        if xrat:
+            left = [{j: t + pad for j, t in row.items()} for row in left]
+        else:
+            right = [{j: t + pad for j, t in row.items()} for row in right]
+    den = dx
+    if dx != dy:
+        den = math.lcm(dx, dy)
+        left, right = _rescaled(left, den // dx), _rescaled(right, den // dy)
+    out = []
+    for lrow, rrow in zip(left, right):
+        if rrow:
+            lrow = dict(lrow)
+            for j, t in rrow.items():
+                s = lrow.get(j)
+                if s is None:
+                    lrow[j] = t if op is add else tuple(-z for z in t)
+                else:
+                    s = tuple(map(op, s, t))
+                    if any(s):
+                        lrow[j] = s
+                    else:
+                        del lrow[j]
+        out.append(lrow)
+    return den, out, xrat and yrat
+
+
+def _signed(form: tuple, signs: tuple) -> tuple:
+    """The form with ring coordinate p of every entry times signs[p]."""
+    den, rows, rational = form
+    signs = signs if rational else signs * 4
+    return den, [{j: tuple(s * z for s, z in zip(signs, t)) for j, t in row.items()}
+                 for row in rows], rational
+
+
+def _interleave(re, im) -> tuple:
+    return tuple(z for pair in zip(re, im) for z in pair)
 
 
 class _ExactMatrix:
     """n x m matrix over an exact entry ring, immutable.
 
     A subclass names its ring by the entry type `_entry` with its `_zero` and
-    `_one`; the ring-specific operations live on the subclass.
+    `_one`, and by `_ring_mul`, the product of two rational entries of the
+    integer form (the complex or the Hamilton product table); the
+    ring-specific operations live on the subclass.
 
-    Besides `entries`, a matrix holds its nonzero pattern: per row, the
-    (column, entry) pairs of its nonzero entries in column order.  The public
-    constructor computes it from `entries` when it is first needed; an
-    operation hands it to the trusted constructor `_from_nonzeros` together
-    with the result, so products, sums and coordinates touch only nonzeros.
+    A matrix holds its value in one or both of two forms, and builds the
+    other from it the first time it is read: the grid `entries` of elements,
+    which the public constructor takes, and the integer form described
+    above, which every operation computes on and hands to the trusted
+    constructor `_from_form`.  The result of an operation therefore holds no
+    element until its entries or coordinates are read, and each element is
+    then reduced to lowest terms.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_nz")
+    __slots__ = ("rows", "cols", "_grid", "_ints")
 
     _entry: type
     _zero: object
     _one: object
+    _ring_mul: staticmethod
     _json_tags: dict = {}  # written between "cols" and "entries" by to_json
 
     def __init__(self, entries: Sequence[Sequence]) -> None:
@@ -83,49 +222,84 @@ class _ExactMatrix:
         width = len(grid[0])
         if any(len(r) != width for r in grid):
             raise ValueError("ragged rows")
-        _set_entries(self, grid)
+        _set_grid(self, grid)
         _set_rows(self, len(grid))
         _set_cols(self, width)
-        _set_nz(self, None)
+        _set_ints(self, None)
 
     @classmethod
-    def _from_nonzeros(cls, cols: int, nonzeros: Sequence[tuple]):
-        """The matrix with `cols` columns whose rows hold the nonzero
-        (column, entry) pairs `nonzeros`, in column order.  Trusted: the
-        entries must already have the entry type and be nonzero."""
-        zero = cls._zero
-        grid = []
-        for pairs in nonzeros:
-            row = [zero] * cols
-            for j, e in pairs:
-                row[j] = e
-            grid.append(tuple(row))
+    def _from_form(cls, cols: int, form: tuple):
+        """The matrix with `cols` columns and the integer form `form`, whose
+        rows hold only nonzero entries.  Trusted: nothing is checked."""
         m = object.__new__(cls)
-        _set_entries(m, tuple(grid))
-        _set_rows(m, len(grid))
+        _set_grid(m, None)
+        _set_rows(m, len(form[1]))
         _set_cols(m, cols)
-        _set_nz(m, tuple(nonzeros))
+        _set_ints(m, form)
         return m
+
+    def _int_form(self) -> tuple:
+        """The integer form (den, rows, rational), computed from the entries
+        on first use: den is the lcm of all coordinate denominators."""
+        form = self._ints
+        if form is None:
+            parts = self._entry._parts
+            nz = [[(j, parts(e)) for j, e in enumerate(row) if not e.is_zero()]
+                  for row in self._grid]
+            values = [s for row in nz for _, ps in row for s in ps]
+            den = math.lcm(*(s._den for s in values))
+            rational = all(s.is_rational() for s in values)
+            blocks = range(1) if rational else range(4)
+            form = (den, [{j: tuple(s._num[u] * (den // s._den)
+                                    for u in blocks for s in ps) for j, ps in row}
+                          for row in nz], rational)
+            _set_ints(self, form)
+        return form
+
+    def _entry_of(self, t: tuple, den: int, rational: bool):
+        """The element with the ints `t` of a form over `den`."""
+        if rational:
+            return self._entry(*(_scalar(x, 0, 0, 0, den) for x in t))
+        k = len(self._entry._fields)
+        return self._entry(*(_scalar(*t[p::k], den) for p in range(k)))
 
     def _nonzeros(self) -> tuple:
         """Per row, the tuple of (column, entry) pairs of its nonzero
         entries, in column order."""
-        nz = self._nz
-        if nz is None:
-            nz = tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
-                       for row in self.entries)
-            _set_nz(self, nz)
-        return nz
+        if self._grid is not None:
+            return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
+                         for row in self._grid)
+        den, rows, rational = self._ints
+        return tuple(tuple((j, self._entry_of(row[j], den, rational))
+                           for j in sorted(row)) for row in rows)
 
-    def _map_nonzeros(self, f):
-        """The matrix of f(e) at each nonzero entry e.  `f` must keep nonzero
-        entries nonzero, as negation, the involutions and multiplication by
-        a nonzero element do: both entry rings are division rings."""
-        return self._from_nonzeros(
-            self.cols, [tuple((j, f(e)) for j, e in row) for row in self._nonzeros()])
+    @property
+    def entries(self) -> tuple:
+        """The rows of elements, as a tuple of row tuples."""
+        grid = self._grid
+        if grid is None:
+            zero, cols = self._zero, self.cols
+            grid = []
+            for pairs in self._nonzeros():
+                row = [zero] * cols
+                for j, e in pairs:
+                    row[j] = e
+                grid.append(tuple(row))
+            grid = tuple(grid)
+            _set_grid(self, grid)
+        return grid
 
-    def _zeros_like(self):
-        return self._from_nonzeros(self.cols, ((),) * self.rows)
+    def _like(self, form: tuple):
+        return self._from_form(self.cols, form)
+
+    def _left_scaled(self, e):
+        """e times every entry, from the left, for one ring element e: the
+        product of e times the identity with this matrix."""
+        den, (row,), rational = type(self)([[e]])._int_form()
+        t = row.get(0)
+        diag = [{} if t is None else {i: t} for i in range(self.rows)]
+        return self._like(_product(type(self), (den, diag, rational),
+                                   self._int_form()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -153,47 +327,42 @@ class _ExactMatrix:
         vals = list(values)
         return cls.sparse(len(vals), {(i, i): v for i, v in enumerate(vals)})
 
-    # -- entry-wise arithmetic and transposition -------------------------------
+    # -- arithmetic and transposition on the integer form ----------------------
 
-    def _check_same_shape(self, other) -> None:
+    def _product_with(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        return other._like(_product(type(self), self._int_form(),
+                                    other._int_form()))
+
+    def _merged(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-    def _merge(self, other, op):
-        """op(self, other) entry-wise, for op = add or sub, merging the two
-        nonzero patterns row by row."""
-        self._check_same_shape(other)
-        zero = self._zero
-        out = []
-        for left_row, right_row in zip(self._nonzeros(), other._nonzeros()):
-            if right_row:
-                acc = dict(left_row)
-                for j, b in right_row:
-                    e = op(acc.get(j, zero), b)
-                    if e.is_zero():
-                        del acc[j]
-                    else:
-                        acc[j] = e
-                left_row = tuple(sorted(acc.items()))
-            out.append(left_row)
-        return self._from_nonzeros(self.cols, out)
+        return self._like(_merge(self._int_form(), other._int_form(), op,
+                                 len(self._entry._fields)))
 
     def __add__(self, other):
-        return self._merge(other, self._entry.__add__)
+        return self._merged(other, add)
 
     def __sub__(self, other):
-        return self._merge(other, self._entry.__sub__)
+        return self._merged(other, sub)
 
     def __neg__(self):
-        return self._map_nonzeros(self._entry.__neg__)
+        return self._like(_signed(self._int_form(),
+                                  (-1,) * len(self._entry._fields)))
 
     def transpose(self):
         """Plain transpose.  Not a homomorphism over the quaternions."""
-        columns = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self._nonzeros()):
-            for j, e in row:
-                columns[j].append((i, e))
-        return self._from_nonzeros(self.rows, [tuple(c) for c in columns])
+        den, rows, rational = self._int_form()
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(rows):
+            for j, t in row.items():
+                columns[j][i] = t
+        return self._from_form(self.rows, (den, columns, rational))
 
     def trace(self):
         if self.rows != self.cols:
@@ -204,18 +373,36 @@ class _ExactMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return not any(self._nonzeros())
+        return not any(self._int_form()[1])
+
+    def _coordinate_ints(self) -> tuple:
+        """(den, {index: int 4-tuple}): the nonzero real coordinates, indexed
+        as in `coords()`, each as its numerators over {1, sqrt2, sqrt3,
+        sqrt6} over the common denominator den of the integer form."""
+        den, rows, rational = self._int_form()
+        k = len(self._entry._fields)
+        width = self.cols * k
+        out = {}
+        for i, row in enumerate(rows):
+            for j, t in row.items():
+                base = i * width + j * k
+                for p in range(k):
+                    if rational:
+                        if t[p]:
+                            out[base + p] = (t[p], 0, 0, 0)
+                    else:
+                        c = t[p::k]
+                        if any(c):
+                            out[base + p] = c
+        return den, out
 
     def coords(self) -> list[ExactScalar]:
         """Real coordinates in row-major order: (re, im) per complex entry,
         (t, x, y, z) per quaternion entry."""
-        parts, k = self._entry._parts, len(self._entry._fields)
-        width = self.cols * k
-        out = [ZERO] * (self.rows * width)
-        for i, row in enumerate(self._nonzeros()):
-            for j, e in row:
-                start = i * width + j * k
-                out[start:start + k] = parts(e)
+        den, nonzero = self._coordinate_ints()
+        out = [ZERO] * (self.rows * self.cols * len(self._entry._fields))
+        for i, c in nonzero.items():
+            out[i] = _from_ints(*c, den)
         return out
 
     # -- value semantics and serialization -------------------------------------
@@ -242,10 +429,10 @@ class _ExactMatrix:
         return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
-_set_entries = _ExactMatrix.entries.__set__
+_set_grid = _ExactMatrix._grid.__set__
 _set_rows = _ExactMatrix.rows.__set__
 _set_cols = _ExactMatrix.cols.__set__
-_set_nz = _ExactMatrix._nz.__set__
+_set_ints = _ExactMatrix._ints.__set__
 
 
 class HMatrix(_ExactMatrix):
@@ -253,30 +440,25 @@ class HMatrix(_ExactMatrix):
 
     __slots__ = ()
     _entry, _zero, _one = Quaternion, Q_ZERO, Q_ONE
+    _ring_mul = staticmethod(_hamilton_mul)
 
     def __matmul__(self, other: "HMatrix") -> "HMatrix":
-        return HMatrix._from_nonzeros(other.cols, _sparse_product(self, other))
+        return self._product_with(other)
 
     def scale(self, s) -> "HMatrix":
         """Multiply every entry by a central (real field) scalar."""
-        s = ExactScalar.coerce(s)
-        if s.is_zero():
-            return self._zeros_like()
-        return self._map_nonzeros(lambda e: e.scale(s))
+        return self._left_scaled(Quaternion(ExactScalar.coerce(s)))
 
     def left_mul(self, q: Quaternion) -> "HMatrix":
-        q = Quaternion.coerce(q)
-        if q.is_zero():
-            return self._zeros_like()
-        return self._map_nonzeros(q.__mul__)
+        return self._left_scaled(Quaternion.coerce(q))
 
     # -- involutions ---------------------------------------------------------
 
     def conj_entries(self) -> "HMatrix":
-        return self._map_nonzeros(Quaternion.conj)
+        return self._like(_signed(self._int_form(), (1, -1, -1, -1)))
 
     def rev_entries(self) -> "HMatrix":
-        return self._map_nonzeros(Quaternion.reversion)
+        return self._like(_signed(self._int_form(), (1, 1, -1, 1)))
 
     def rev_transpose(self) -> "HMatrix":
         """Entry-wise reversion followed by transposition (anti-homomorphism)."""
@@ -289,21 +471,28 @@ class HMatrix(_ExactMatrix):
     # -- embedding and determinant --------------------------------------------
 
     def embed(self) -> "CMatrix":
-        """Replace each quaternion entry by its 2x2 complex block.
+        """Replace each quaternion entry by its 2x2 complex block
+        [[t + z i, x i - y], [x i + y, t - z i]].
 
         Multiplicative homomorphism M_n(H) -> M_2n(C); dagger maps to the
         complex conjugate-transpose and rev_transpose to the plain transpose.
         """
+        den, rows, rational = self._int_form()
         out = []
-        for row in self._nonzeros():
-            halves = ([], [])
-            for j, q in row:
-                for half, block_row in zip(halves, q.embed()):
-                    for col, e in enumerate(block_row, 2 * j):
-                        if not e.is_zero():
-                            half.append((col, e))
-            out += map(tuple, halves)
-        return CMatrix._from_nonzeros(2 * self.cols, out)
+        for row in rows:
+            top, bottom = {}, {}
+            for j, q in row.items():
+                # coordinate p of every block of q, as in `_coordinate_ints`
+                t, x, y, z = q[0::4], q[1::4], q[2::4], q[3::4]
+                neg_y, neg_z = tuple(-v for v in y), tuple(-v for v in z)
+                for half, col, re, im in ((top, 2 * j, t, z),
+                                          (top, 2 * j + 1, neg_y, x),
+                                          (bottom, 2 * j, y, x),
+                                          (bottom, 2 * j + 1, t, neg_z)):
+                    if any(re) or any(im):
+                        half[col] = _interleave(re, im)
+            out += (top, bottom)
+        return CMatrix._from_form(2 * self.cols, (den, out, rational))
 
     def study_det(self) -> ExactComplex:
         """Determinant of the complex 2n x 2n image (exact Bareiss elimination).
@@ -320,6 +509,7 @@ class CMatrix(_ExactMatrix):
 
     __slots__ = ()
     _entry, _zero, _one = ExactComplex, C_ZERO, C_ONE
+    _ring_mul = staticmethod(_complex_mul)
 
     # Every CMatrix is exact (float matrices are numpy arrays); the constant
     # stays for callers that label CMatrix work by it, such as the benchmark's
@@ -328,16 +518,13 @@ class CMatrix(_ExactMatrix):
     _json_tags = {"mode": mode}
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        return CMatrix._from_nonzeros(other.cols, _sparse_product(self, other))
+        return self._product_with(other)
 
     def scale(self, s) -> "CMatrix":
-        s = ExactComplex.coerce(s)
-        if s.is_zero():
-            return self._zeros_like()
-        return self._map_nonzeros(s.__mul__)
+        return self._left_scaled(ExactComplex.coerce(s))
 
     def conj(self) -> "CMatrix":
-        return self._map_nonzeros(ExactComplex.conj)
+        return self._like(_signed(self._int_form(), (1, -1)))
 
     def dagger(self) -> "CMatrix":
         return self.conj().transpose()

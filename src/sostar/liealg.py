@@ -2,11 +2,12 @@
 signatures, commutant dimensions, and a float matrix exponential.
 
 Structure constants are computed by exact linear solves: generators are
-vectorized over the real coefficient field Q(sqrt2, sqrt3) by their `coords()`
-(four per quaternion entry, two per complex entry) and every bracket is
-expanded in the basis by one batched, fraction-free elimination on integer
-coordinates (`linalg.solve_batch`).  A bracket leaving the real span raises,
-which doubles as the closure check.
+vectorized over the real coefficient field Q(sqrt2, sqrt3) by their real
+coordinates (four per quaternion entry, two per complex entry) and every
+bracket is expanded in the basis by one batched, fraction-free elimination
+on integer coordinates (`linalg._solve`), which takes the sparse integer
+coordinates of each matrix and returns sparse solutions.  A bracket leaving
+the real span raises, which doubles as the closure check.
 
 The Killing matrix B_ij = Tr(ad_i ad_j) is summed on integer coordinates:
 every structure constant is scaled by one common denominator D to an int
@@ -161,25 +162,22 @@ class StructureTensor:
 def structure_constants(basis: LieBasis) -> StructureTensor:
     """Expand every bracket [g_i, g_j] (i<j) in the basis, exactly.
 
-    Raises ValueError if the basis is linearly dependent or some bracket
-    falls outside the real span (basis not closed).
+    Every generator and bracket goes to the elimination as its nonzero
+    integer coordinates, read from the matrix's integer form, so no element
+    of a bracket is ever built.  Raises ValueError if the basis is linearly
+    dependent or some bracket falls outside the real span (basis not closed).
     """
     gens = basis.generators
     n = len(gens)
-    columns = [g.coords() for g in gens]
+    columns = [g._coordinate_ints() for g in gens]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    targets = [bracket(gens[i], gens[j]).coords() for (i, j) in pairs]
+    targets = (bracket(gens[i], gens[j])._coordinate_ints() for (i, j) in pairs)
     try:
-        sols = linalg.solve_batch(columns, targets)
+        sols = linalg._solve(columns, targets)
     except ValueError as exc:
         raise ValueError(f"basis {basis.name!r} is not closed under the bracket "
                          f"or is degenerate: {exc}") from exc
-    table: dict = {}
-    for (pair, coeffs) in zip(pairs, sols):
-        row = {k: v for k, v in enumerate(coeffs) if not v.is_zero()}
-        if row:
-            table[pair] = row
-    return StructureTensor(n, table)
+    return StructureTensor(n, {pair: row for pair, row in zip(pairs, sols) if row})
 
 
 @dataclass

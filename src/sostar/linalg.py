@@ -10,16 +10,18 @@ likewise updates, after each pivot, only the trailing block's rows and
 columns where the pivot row is nonzero.
 
 `solve_batch` takes ExactScalar entries only and solves on integer
-coordinates: each entry is an int 4-tuple over {1, sqrt2, sqrt3, sqrt6}, a
-row at a time over one common denominator, and the elimination is
-fraction-free in the spirit of Bareiss: nothing is divided by a field
-element until the solutions are built.
+coordinates in `_solve`: each entry is an int 4-tuple over {1, sqrt2, sqrt3,
+sqrt6}, a column at a time over one common denominator, and the elimination
+is fraction-free in the spirit of Bareiss: nothing is divided by a field
+element until the solutions are built.  `_solve` takes and returns sparse
+vectors, so a caller holding integer coordinates (the structure constants)
+hands them over without building an element.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import ZERO, ExactScalar, _from_ints, _mul4
 
@@ -76,29 +78,62 @@ def solve_batch(columns: list[list], targets: list[list]):
 
     Entries must be ExactScalars.  Returns a list of coefficient vectors (one
     per target).  Raises ValueError if the columns are linearly dependent or
-    some target is outside their span.  One Gauss-Jordan pass over the
-    augmented system [columns | targets] serves every target, on integer
-    coordinates: each row is a sparse dict {column: (a, b, c, d)} of Python
-    ints over {1, sqrt2, sqrt3, sqrt6}, scaled by the lcm of its coordinate
-    denominators.  A pivot is made the rational integer N by multiplying its
-    row with the pivot's three nontrivial Galois conjugates; every other row
-    with an entry in that column becomes N*row - f*pivot_row; every row that
-    changes is divided by the gcd of its coordinates.  No row is ever
-    divided by a field element; the solutions are x = row / N.  The reduced
-    row echelon form is unique, so the pivot row is chosen freely: the
-    shortest candidate, to limit fill-in.
+    some target is outside their span.  Each column and target goes to
+    `_solve` as its nonzero coordinates over the lcm of their denominators.
+    """
+    k = len(columns)
+    sols = _solve([_sparse(v) for v in columns], [_sparse(v) for v in targets])
+    return [[sol.get(c, ZERO) for c in range(k)] for sol in sols]
+
+
+def _sparse(values) -> tuple:
+    """(den, {index: int 4-tuple}): the nonzero ExactScalars of `values`
+    over den, the lcm of their denominators."""
+    support = [i for i, v in enumerate(values) if not v.is_zero()]
+    den, coords = _int_coords([values[i] for i in support])
+    return den, dict(zip(support, coords))
+
+
+def _solve(columns: list, targets: Iterable) -> list:
+    """Solve B x = t for each target on integer coordinates.
+
+    Each column and target is a sparse vector (den, {row: (a, b, c, d)}):
+    the vector of the values (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / den, zero
+    at every row it does not name.  `targets` may be any iterable, which is
+    read once, so a caller can hand each target over as soon as it is
+    computed.  Returns per target the sparse solution
+    {column: ExactScalar}, in column order.  Raises ValueError if the
+    columns are linearly dependent or some target is outside their span.
+
+    With the denominators D_c of the columns and D_t of a target, B x = t is
+    the integer system B' y = t' on the numerators, with x_c = y_c D_c / D_t.
+    One Gauss-Jordan pass over the augmented system [columns | targets]
+    serves every target, each row a sparse dict {column: (a, b, c, d)} of
+    Python ints over {1, sqrt2, sqrt3, sqrt6}.  A pivot is made the rational
+    integer N by multiplying its row with the pivot's three nontrivial Galois
+    conjugates; every other row with an entry in that column becomes
+    N*row - f*pivot_row; every row that changes is divided by the gcd of its
+    coordinates.  No row is ever divided by a field element; the solutions
+    are y = row / N.  The reduced row echelon form is unique, so the pivot
+    row is chosen freely: the shortest candidate, to limit fill-in, and the
+    first in row order among those.
     """
     k = len(columns)
     if k == 0:
         raise ValueError("empty column set")
-    m = len(columns[0])
-    rows = []
-    for i in range(m):
-        entries = [col[i] for col in columns] + [t[i] for t in targets]
-        support = [j for j, v in enumerate(entries) if not v.is_zero()]
-        _, coords = _int_coords([entries[j] for j in support])
-        rows.append(dict(zip(support, coords)))
-    free = list(range(m))  # rows not yet used as a pivot row
+    dens = []  # of the columns, then of the targets
+    rows: dict = {}
+    for vectors in (columns, targets):
+        for den, vec in vectors:
+            j = len(dens)
+            dens.append(den)
+            for i, x in vec.items():
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: x}
+                else:
+                    row[j] = x
+    free = sorted(rows)  # rows not yet used as a pivot row
     pivot_rows = []
     for col in range(k):
         candidates = [i for i in free if col in rows[i]]
@@ -114,7 +149,7 @@ def solve_batch(columns: list[list], targets: list[list]):
             prow = {j: _mul4(x, adj) for j, x in prow.items()}
         prow = rows[p] = _primitive(prow)
         n = prow.pop(col)[0]  # put back after the loop, which skips prow
-        for i, row in enumerate(rows):
+        for i, row in rows.items():
             f = row.pop(col, None)
             if f is None:
                 continue
@@ -142,19 +177,21 @@ def solve_batch(columns: list[list], targets: list[list]):
             rows[i] = _primitive(row)
         prow[col] = (n, 0, 0, 0)
     # every column is a pivot column, so a row left over holds only targets
-    for i in sorted(free):
+    for i in free:
         if rows[i]:
             j = min(rows[i])
             raise ValueError(
                 "target outside the span of the columns: target "
                 f"{j - k} leaves the residual {ExactScalar(*rows[i][j])!r} "
                 f"(up to a rational factor) in row {i}")
-    sols = [[ZERO] * k for _ in targets]
+    sols = [{} for _ in dens[k:]]
     for col, p in enumerate(pivot_rows):
         n = rows[p][col][0]
+        dc = dens[col]
         for j, (a, b, c, d) in rows[p].items():
             if j >= k:
-                sols[j - k][col] = _from_ints(a, b, c, d, n)
+                sols[j - k][col] = _from_ints(a * dc, b * dc, c * dc, d * dc,
+                                              n * dens[j])
     return sols
 
 

@@ -26,7 +26,7 @@ coordinate-wise + and - that return the other operand when one is zero,
 equality and hashing, JSON keyed by coordinate name and repr.  Each type
 writes out its own constructor, zero test and product; a product with a zero
 factor is that type's zero constant.  ExactScalar also writes out its own
-+, -, == and hash on the integer numerators.
++, -, ==, hash and JSON on the integer numerators.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ class _ExactElement:
         return hash(parts) if any(parts[1:]) else hash(parts[0])
 
     def to_json(self) -> dict:
-        return {name: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction)
-                else v.to_json()
-                for name, v in zip(self._fields, self._parts(self))}
+        return {name: v.to_json() for name, v in zip(self._fields, self._parts(self))}
 
     @classmethod
     def from_json(cls, obj: dict):
@@ -299,6 +297,16 @@ class ExactScalar(_ExactElement):
         if b or c or d:
             return hash(self._parts(self))
         return hash(a) if self._den == 1 else hash(Fraction(a, self._den))
+
+    def to_json(self) -> dict:
+        """Each coordinate as the text "numerator/denominator" of its reduced
+        fraction, "0/1" for zero, printed from the ints."""
+        den = self._den
+        out = {}
+        for name, x in zip(self._fields, self._num):
+            g = math.gcd(x, den)
+            out[name] = f"{x // g}/{den // g}"
+        return out
 
     # -- predicates, order, conversions -------------------------------------
 

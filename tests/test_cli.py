@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,17 @@ def test_export_exit_two_on_unwritable_output_path(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# sha256 of the bytes that `sostar export` writes, as released: a change to
+# the exact arithmetic or to the JSON text must leave every export as it was
+_EXPORT_SHA256 = {
+    ("--family", "sostar", "--n", "3"):
+        "c87b274f529f086bb3e0fcd2d04e25a935426953d2b9fa1b77650a70f314396c",
+    # irrational coordinates (sqrt2, sqrt3, sqrt6) in the generators
+    ("--family", "sostar6quat"):
+        "c07887352d2afbbe038620e6d233c36ec768b2adbcf3f6fd73d1b005fefc2ca6",
+}
+
+
 def test_export_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -178,6 +190,9 @@ def test_export_byte_identical(tmp_path, capsys):
                          "--output", str(path)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+    for args, digest in _EXPORT_SHA256.items():
+        assert cli.main(["export", *args, "--output", str(a)]) == 0
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, args
 
 
 def test_export_rejects_a_huge_generic_size_at_once(monkeypatch, capsys):

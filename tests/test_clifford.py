@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -116,9 +117,8 @@ def test_full_suite_passes(spin):
 
 def test_misplaced_sign_flip_fails_the_dictionary_checks(monkeypatch,
                                                          verify_suite):
-    # the flip on plane (4, 7) moved to plane (3, 7); "six conventional sign
-    # flips recorded" compares the generators' copy of SIGN_FLIPS with
-    # SIGN_FLIPS itself, so only the dictionary checks can see the mutant
+    # the flip on plane (4, 7) moved to plane (3, 7): six flips are still
+    # applied as recorded, so only the dictionary checks can see the mutant
     monkeypatch.setattr(clifford, "SIGN_FLIPS", SIGN_FLIPS[:5] + [(3, 7)])
     code, out, report = verify_suite("sostar8")
     failed = ["dictionary identity at plane (3, 7)",
@@ -141,3 +141,39 @@ def test_flipped_dictionary_sign_fails_the_identity_and_the_bijection(
     assert report.failures() == failed
     assert code == 1
     assert all(f"FAILED: {d}" in out for d in failed)
+
+
+def test_seventh_sign_flip_fails_the_flip_count(monkeypatch, verify_suite):
+    # a seventh flip, on plane (3, 7): the flips are read off the generators,
+    # so the recorded list no longer vouches for itself
+    monkeypatch.setattr(clifford, "SIGN_FLIPS", SIGN_FLIPS + [(3, 7)])
+    code, out, report = verify_suite("sostar8")
+    failed = ["six conventional sign flips recorded",
+              "dictionary identity at plane (3, 7)",
+              "dictionary identity embed(A(a(theta))) = sum theta L (28 planes)"]
+    assert report.failures() == failed
+    assert dict(report.witnesses)["FAILED: " + failed[0]] == {
+        "applied": SIGN_FLIPS[:5] + [(3, 7), (4, 7)],
+        "recorded": SIGN_FLIPS + [(3, 7)]}
+    assert code == 1
+    assert all(f"FAILED: {d}" in out for d in failed)
+
+
+def test_flip_recorded_but_not_applied_fails(spin):
+    misrecorded = dataclasses.replace(spin, sign_flips=SIGN_FLIPS[:5] + [(3, 7)])
+    assert verify_sostar8(misrecorded).failures() == [
+        "six conventional sign flips recorded"]
+
+
+def test_off_diagonal_spin_generator_fails_the_block_check(spin):
+    # Gamma_0 itself is block anti-diagonal; L and R stay as they were
+    s = dict(spin.S)
+    s[(0, 1)] = cl26_basis().generators[0]
+    report = verify_sostar8(dataclasses.replace(spin, S=s))
+    assert report.failures() == ["28 spin generators, block diagonal"]
+    assert dict(report.witnesses)[
+        "FAILED: 28 spin generators, block diagonal"] == {
+            "generators": 28, "off_diagonal": [(0, 1)]}
+    short = {pair: m for pair, m in spin.S.items() if pair != (6, 7)}
+    assert verify_sostar8(dataclasses.replace(spin, S=short)).failures() == [
+        "28 spin generators, block diagonal"]

@@ -282,7 +282,106 @@ def test_product_with_a_zero_factor_is_zero():
     assert (a.embed() @ CMatrix.zeros(6, 6)) == CMatrix.zeros(6, 6)
 
 
-# -- the cached nonzero pattern against a dense scan of the entries ------------
+# -- the integer kernel against the element-wise reference ---------------------
+
+def _reference_product(left, right) -> list[tuple]:
+    """Nonzero pattern of left @ right, row by row (Gustavson's row-wise
+    product) on the elements: each nonzero left[i][k] meets only the
+    nonzeros of row k of `right`.  Only the accumulated entries are tested
+    for zero, so terms that cancel leave no entry behind."""
+    right_rows = right._nonzeros()
+    out = []
+    for left_row in left._nonzeros():
+        acc = {}
+        for k, a in left_row:
+            for j, b in right_rows[k]:
+                prev = acc.get(j)
+                acc[j] = a * b if prev is None else prev + a * b
+        out.append(tuple(sorted((j, e) for j, e in acc.items() if not e.is_zero())))
+    return out
+
+
+def _reference_merge(left, right, op) -> list[tuple]:
+    """Nonzero pattern of op(left, right) entry-wise, for op = add or sub,
+    merging the two nonzero patterns row by row on the elements."""
+    zero = left._zero
+    out = []
+    for left_row, right_row in zip(left._nonzeros(), right._nonzeros()):
+        if right_row:
+            acc = dict(left_row)
+            for j, b in right_row:
+                e = op(acc.get(j, zero), b)
+                if e.is_zero():
+                    del acc[j]
+                else:
+                    acc[j] = e
+            left_row = tuple(sorted(acc.items()))
+        out.append(left_row)
+    return out
+
+
+def _from_pattern(cls, cols, pattern):
+    grid = [[cls._zero] * cols for _ in pattern]
+    for row, pairs in zip(grid, pattern):
+        for j, e in pairs:
+            row[j] = e
+    return cls(grid)
+
+
+# each coordinate over one of the coprime denominators 1, 3, 7 and 32, so the
+# entries of one matrix mix them
+_fraction = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 3, 7, 32]))
+_KINDS = {"rational": st.builds(ExactScalar, _fraction),
+          "irrational": st.builds(ExactScalar, _fraction, _fraction, _fraction,
+                                  _fraction)}
+
+
+@st.composite
+def _kernel_operands(draw, cls):
+    """(a, b, c): a @ b is defined and c has the shape of a.  Each has
+    rational or irrational coordinates and is sparse or dense; c may be a
+    itself or its negation, so that a - c or a + c cancels."""
+    def matrix(n, m):
+        scalar = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+        entry = (st.builds(Quaternion, scalar, scalar, scalar, scalar)
+                 if cls is HMatrix else st.builds(ExactComplex, scalar, scalar))
+        if draw(st.booleans()):  # sparse: about half the entries vanish
+            entry = st.one_of(st.just(cls._zero), entry)
+        return cls([[draw(entry) for _ in range(m)] for _ in range(n)])
+
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    c = draw(st.sampled_from([
+        lambda: matrix(rows, inner), lambda: a,
+        lambda: cls([[-e for e in row] for row in a.entries])]))()
+    return a, b, c
+
+
+@settings(deadline=None)
+@given(st.one_of(_kernel_operands(HMatrix), _kernel_operands(CMatrix)))
+def test_integer_kernel_matches_the_elementwise_reference(ops):
+    a, b, c = ops
+    cls = type(a)
+    ab, cb = a @ b, c @ b  # integer forms over different denominators
+    cases = [(ab, _reference_product(a, b)),
+             (a + c, _reference_merge(a, c, cls._entry.__add__)),
+             (a - c, _reference_merge(a, c, cls._entry.__sub__)),
+             (ab - cb, _reference_merge(ab, cb, cls._entry.__sub__)),
+             (ab + ab, _reference_merge(ab, ab, cls._entry.__add__)),
+             (ab @ b.transpose(), _reference_product(ab, b.transpose()))]
+    for got, pattern in cases:
+        want = _from_pattern(cls, got.cols, pattern)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got._nonzeros() == tuple(pattern)
+        assert got == want and hash(got) == hash(want)
+        zero = cls.zeros(got.rows, got.cols)
+        assert got.is_zero() == (pattern == [()] * got.rows) == (got == zero)
+    for cancelled in ([a - c] if c == a else []) + ([a + c] if c == -a else []):
+        assert cancelled.is_zero() and cancelled._nonzeros() == ((),) * a.rows
+        assert cancelled == cls.zeros(a.rows, a.cols)
+
+
+# -- the integer form handed over, against a dense scan of the entries ---------
 
 def _dense_pattern(m):
     return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
@@ -296,7 +395,7 @@ def _dense_coords(m):
 
 
 def _operation_results(a, b):
-    """Every operation that hands its result a nonzero pattern, applied to a
+    """Every operation that hands its result an integer form, applied to a
     compatible pair (a, b)."""
     ab = a @ b
     results = [ab, a + a, a - a, -a, a.scale(2), a.scale(0), a.transpose(),
@@ -314,7 +413,7 @@ def _operation_results(a, b):
 @given(st.one_of(_product_operands(HMatrix), _product_operands(CMatrix)))
 def test_operations_hand_over_the_dense_pattern(pair):
     for m in _operation_results(*pair):
-        assert m._nz is not None  # handed over, not scanned later
+        assert m._ints is not None and m._grid is None  # handed over, no element built
         assert m._nonzeros() == _dense_pattern(m)
         rebuilt = type(m)(m.entries)
         assert m == rebuilt and hash(m) == hash(rebuilt)
@@ -409,6 +508,18 @@ def test_str_entry_is_a_type_error(cls):
 def test_empty_and_ragged_input_is_a_value_error(cls, grid):
     with pytest.raises(ValueError):
         cls(grid)
+
+
+def test_hmatrix_and_cmatrix_do_not_combine():
+    # the integer forms of the two types hold different coordinates, so
+    # mixing them is a TypeError, even where every entry is zero
+    for h, c in ((HMatrix.identity(2), CMatrix.identity(2)),
+                 (HMatrix.zeros(2, 2), CMatrix.zeros(2, 2))):
+        for op in (lambda x, y: x @ y, lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(h, c)
+            with pytest.raises(TypeError):
+                op(c, h)
 
 
 def test_hmatrix_never_equals_a_cmatrix():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,77 @@ def test_dense_irrational_basis_closes_and_its_truncation_does_not(
     for basis in (open_span, open_span.embedded()):
         with pytest.raises(ValueError, match="not closed"):
             structure_constants(basis)
+
+
+def _perfbench_workloads():
+    """The benchmark's workload module, which holds the dense_mixed generator."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dense_system(gens):
+    """The structure-constant system on the dense coordinates: one column per
+    generator and one target per bracket [g_i, g_j], i < j."""
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    return pairs, [g.coords() for g in gens], [bracket(gens[i], gens[j]).coords()
+                                               for i, j in pairs]
+
+
+def test_structure_constants_match_solve_batch_on_a_dense_mixed_basis():
+    rng = random.Random("dense_mixed/7")
+    gens = _perfbench_workloads().dense_generators(rng, 3, 2)
+    pairs, columns, targets = _dense_system(gens)
+    assert any(not v.is_rational() for t in targets for v in t)
+    table = {}
+    for pair, coeffs in zip(pairs, linalg.solve_batch(columns, targets)):
+        row = {k: v for k, v in enumerate(coeffs) if not v.is_zero()}
+        if row:
+            table[pair] = row
+    basis = LieBasis("dense", "quaternionic", gens)
+    assert structure_constants(basis) == StructureTensor(len(gens), table)
+
+
+def test_closure_error_names_the_row_that_solve_batch_names(dense_recombination):
+    # the rows reach the elimination in coordinate order, as the dense
+    # coordinates do, so both name the same target and row
+    gens = dense_recombination(generic_basis(SO_STAR, 2).generators)[:-1]
+    _, columns, targets = _dense_system(gens)
+    with pytest.raises(ValueError) as dense:
+        linalg.solve_batch(columns, targets)
+    with pytest.raises(ValueError, match="not closed") as sparse:
+        structure_constants(LieBasis("open", "quaternionic", gens))
+    where = re.compile(r"target (\d+) leaves .* in row (\d+)$")
+    assert where.search(str(sparse.value)).groups() == \
+        where.search(str(dense.value)).groups()
+
+
+@pytest.mark.parametrize("realization", ["quaternionic", "complex-exact"])
+def test_structure_constants_build_no_bracket_element(realization, monkeypatch,
+                                                       dense_sostar6_basis):
+    basis = dense_sostar6_basis
+    if realization == COMPLEX_EXACT:
+        basis = basis.embedded()
+    basis = LieBasis("fresh", realization, basis.generators)  # no cached tensor
+    built = []
+    for entry_type in (Quaternion, ExactComplex):
+        original = entry_type.__init__
+
+        def counting_init(self, *args, _original=original):
+            built.append(type(self))
+            _original(self, *args)
+
+        monkeypatch.setattr(entry_type, "__init__", counting_init)
+    Quaternion(1)
+    ExactComplex(1)
+    assert built == [Quaternion, ExactComplex]  # the counter sees elements
+    built.clear()
+    assert basis.structure_constants().table
+    assert built == []
 
 
 def test_killing_data_is_computed_once_per_basis(monkeypatch):
@@ -293,12 +365,6 @@ def test_nullspace_basis_of_a_rectangular_matrix(rows, rank):
     assert linalg.rank(vecs) == len(vecs)
 
 
-def test_compact_counts():
-    assert compact_generator_count(generic_basis(SO_STAR, 2)) == 4
-    assert compact_generator_count(generic_basis(SO_STAR, 3)) == 9
-    assert compact_generator_count(generic_basis(SO_STAR, 4)) == 16
-
-
 def _unimodular(rng, n):
     """Random integer matrix of determinant +-1 built from shears and swaps."""
     m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -329,12 +395,6 @@ def test_killing_signature_invariant_under_basis_change():
             gens.append(acc)
         transformed = LieBasis("sp11_t", "quaternionic", gens)
         assert killing(transformed).signature == ref
-
-
-def test_su31_tensor_equals_both_sostar6_tensors(su31, so6_quat, so6_complex):
-    f = su31.structure_constants()
-    assert f == so6_complex.structure_constants()
-    assert f == so6_quat.structure_constants()
 
 
 def test_structure_tensor_stores_no_zero_coefficient(a_basis, su31, so6_quat):
@@ -369,12 +429,6 @@ def test_matrix_exp_rotation():
     expected = [[math.cos(theta), -math.sin(theta)],
                 [math.sin(theta), math.cos(theta)]]
     assert max_abs_diff(rot, expected) <= 1e-12
-
-
-def test_matrix_exp_center_witness(su31):
-    m = su31.generators[14].to_numpy() * (math.sqrt(6.0) * math.pi)
-    target = CMatrix.diag([ExactComplex(0, 1)] * 4).to_numpy()
-    assert max_abs_diff(matrix_exp(m), target) <= 1e-9
 
 
 def test_matrix_exp_inverse_property():

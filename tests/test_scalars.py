@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import sostar.scalars
 from sostar.quaternion import Quaternion
 from sostar.scalars import ZERO, ExactComplex, ExactScalar, _from_ints
 
@@ -93,6 +94,26 @@ def test_json_round_trip(x):
 def test_json_shape():
     doc = ExactScalar(Fraction(1, 2), 0, Fraction(-2, 3), 0).to_json()
     assert doc == {"a": "1/2", "b": "0/1", "c": "-2/3", "d": "0/1"}
+
+
+@pytest.mark.parametrize("x, text", [
+    (ExactScalar(0), ("0/1", "0/1", "0/1", "0/1")),
+    (ExactScalar(7), ("7/1", "0/1", "0/1", "0/1")),
+    (ExactScalar(Fraction(-3, 4)), ("-3/4", "0/1", "0/1", "0/1")),
+    # (1, -3, 0, 4) over 6: each coordinate reduced by its own gcd with 6
+    (ExactScalar(Fraction(1, 6), Fraction(-1, 2), 0, Fraction(2, 3)),
+     ("1/6", "-1/2", "0/1", "2/3")),
+    (ExactScalar(-4, Fraction(5, 2), -1, Fraction(-3, 2)),
+     ("-4/1", "5/2", "-1/1", "-3/2")),
+], ids=["zero", "integral", "negative", "irrational", "negative-irrational"])
+def test_json_is_printed_from_the_ints(x, text, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("to_json built a Fraction")
+
+    monkeypatch.setattr(sostar.scalars, "Fraction", no_fraction)
+    assert x.to_json() == dict(zip("abcd", text))
+    monkeypatch.undo()
+    assert ExactScalar.from_json(x.to_json()) == x
 
 
 complexes = st.builds(ExactComplex, scalars, scalars)

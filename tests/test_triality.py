@@ -34,14 +34,6 @@ def test_g_entries():
     assert g.entries[3][3] == ExactComplex(h)
 
 
-def test_transition_matrices_cube_to_identity():
-    ident = CMatrix.identity(4)
-    h = h_matrix()
-    g = g_matrix()
-    assert (h @ h @ h - ident).is_zero()
-    assert (g @ g @ g - ident).is_zero()
-
-
 def test_triality_names_the_cycle_and_its_tensor_obeys_jacobi(spin_reps):
     left, _ = spin_reps
     quartets = triality_setup()
