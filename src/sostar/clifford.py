@@ -129,9 +129,7 @@ def _half_product(gamma: list, i: int, j: int) -> CMatrix:
 def _blocks(m: CMatrix) -> list:
     """The 8x8 blocks of a 16x16 matrix: top-left, top-right, bottom-left,
     bottom-right."""
-    e = m.entries
-    return [CMatrix([row[c:c + 8] for row in e[r:r + 8]])
-            for r in (0, 8) for c in (0, 8)]
+    return [m._block(r, r + 8, c, c + 8) for r in (0, 8) for c in (0, 8)]
 
 
 def standard_quaternionic_structure() -> CMatrix:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -100,25 +101,30 @@ def _blocks(rows, rational: bool, k: int) -> list:
 
 def _field_rows(left, right, k: int, mul) -> list:
     """Rows of the product of two forms given by `_blocks`, row by row as in
-    `_rational_rows`; `mul` is the ring product of two blocks."""
+    `_rational_rows`; `mul` is the ring product of two blocks.  Each output
+    entry keeps its four blocks in a list, and every block product is added
+    into its block in place."""
     zero = (0,) * k
     out = []
     for lrow in left:
         acc = {}
         for m, xb in lrow.items():
             for j, yb in right[m].items():
-                terms = acc.get(j)
-                if terms is None:
-                    terms = acc[j] = ([], [], [], [])
+                blocks = acc.get(j)
+                if blocks is None:
+                    blocks = acc[j] = [None, None, None, None]
                 for u, xu in xb:
                     for v, yv in yb:
                         p = mul(xu, yv)
                         c = _FIELD_SQUARES[u & v]
-                        terms[u ^ v].append(p if c == 1 else tuple(c * z for z in p))
+                        if c != 1:
+                            p = tuple(c * z for z in p)
+                        w = u ^ v
+                        s = blocks[w]
+                        blocks[w] = p if s is None else tuple(map(add, s, p))
         row = {}
-        for j, terms in acc.items():
-            t = tuple(z for block in terms
-                      for z in (map(sum, zip(*block)) if block else zero))
+        for j, blocks in acc.items():
+            t = tuple(chain.from_iterable(b or zero for b in blocks))
             if any(t):
                 row[j] = t
         out.append(row)
@@ -144,21 +150,25 @@ def _rescaled(rows, f: int) -> list:
                                 for row in rows]
 
 
+def _common(forms, k: int) -> tuple:
+    """The rows of the forms over one denominator, the lcm of theirs, and
+    one layout: (den, [rows of each form], rational).  A rational form among
+    irrational ones gets zero sqrt2, sqrt3 and sqrt6 blocks."""
+    den = math.lcm(*(d for d, _, _ in forms))
+    rational = all(rat for _, _, rat in forms)
+    pad = (0,) * (3 * k)
+    out = []
+    for d, rows, rat in forms:
+        if rat and not rational:
+            rows = [{j: t + pad for j, t in row.items()} for row in rows]
+        out.append(_rescaled(rows, den // d))
+    return den, out, rational
+
+
 def _merge(x: tuple, y: tuple, op, k: int) -> tuple:
     """The form of op(X, Y) for op = add or sub, merging the rows of the
     forms x, y; entries that cancel are dropped."""
-    dx, left, xrat = x
-    dy, right, yrat = y
-    if xrat != yrat:  # pad the rational form with zero sqrt2, sqrt3, sqrt6 blocks
-        pad = (0,) * (3 * k)
-        if xrat:
-            left = [{j: t + pad for j, t in row.items()} for row in left]
-        else:
-            right = [{j: t + pad for j, t in row.items()} for row in right]
-    den = dx
-    if dx != dy:
-        den = math.lcm(dx, dy)
-        left, right = _rescaled(left, den // dx), _rescaled(right, den // dy)
+    den, (left, right), rational = _common((x, y), k)
     out = []
     for lrow, rrow in zip(left, right):
         if rrow:
@@ -174,7 +184,7 @@ def _merge(x: tuple, y: tuple, op, k: int) -> tuple:
                     else:
                         del lrow[j]
         out.append(lrow)
-    return den, out, xrat and yrat
+    return den, out, rational
 
 
 def _signed(form: tuple, signs: tuple) -> tuple:
@@ -363,6 +373,14 @@ class _ExactMatrix:
             for j, t in row.items():
                 columns[j][i] = t
         return self._from_form(self.rows, (den, columns, rational))
+
+    def _block(self, r0: int, r1: int, c0: int, c1: int):
+        """The submatrix of rows r0..r1-1 and columns c0..c1-1, sliced from
+        the integer form; it keeps this matrix's denominator."""
+        den, rows, rational = self._int_form()
+        return self._from_form(c1 - c0, (den, [
+            {j - c0: t for j, t in row.items() if c0 <= j < c1}
+            for row in rows[r0:r1]], rational))
 
     def trace(self):
         if self.rows != self.cols:
@@ -555,35 +573,47 @@ class CMatrix(_ExactMatrix):
 
 
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Kronecker product of CMatrix factors."""
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                for l in range(b.cols):
-                    row.append(a.entries[i][j] * b.entries[k][l])
-            out.append(row)
-    return CMatrix(out)
+    """Kronecker product of CMatrix factors, as the product
+    (A (x) I_r)(I_q (x) B) of two integer forms that only place the entries
+    of A and B, for A q columns wide and B r rows high: each entry of the
+    result is one product a_ij b_kl."""
+    da, arows, arat = a._int_form()
+    db, brows, brat = b._int_form()
+    q, r, s = a.cols, b.rows, b.cols
+    left = [{j * r + k: t for j, t in arow.items()} for arow in arows
+            for k in range(r)]
+    right = [{j * s + l: t for l, t in brow.items()} for j in range(q)
+             for brow in brows]
+    return CMatrix._from_form(q * s, _product(CMatrix, (da, left, arat),
+                                              (db, right, brat)))
 
 
 def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
-    """Assemble a CMatrix from a 2D grid of blocks.
+    """Assemble a CMatrix from a 2D grid of blocks, on their integer forms.
 
     The blocks of a block row must share a height, and the block columns the
     widths of the first block row.
     """
     widths = [blk.cols for blk in blocks[0]] if blocks else []
-    out = []
     for brow in blocks:
-        height = brow[0].rows
-        if any(blk.rows != height for blk in brow):
+        if any(blk.rows != brow[0].rows for blk in brow):
             raise ValueError("blocks of one block row differ in height")
         if [blk.cols for blk in brow] != widths:
             raise ValueError("blocks of one block column differ in width")
-        for r in range(height):
-            out.append([e for blk in brow for e in blk.entries[r]])
-    return CMatrix(out)
+    if not widths:
+        raise ValueError("CMatrix cannot be empty")
+    den, parts, rational = _common(
+        [blk._int_form() for brow in blocks for blk in brow], 2)
+    parts = iter(parts)
+    offsets = [sum(widths[:c]) for c in range(len(widths))]
+    out = []
+    for brow in blocks:
+        rows = [{} for _ in range(brow[0].rows)]
+        for offset, block_rows in zip(offsets, parts):  # this block row's
+            for row, part in zip(rows, block_rows):
+                row.update((offset + j, t) for j, t in part.items())
+        out += rows
+    return CMatrix._from_form(sum(widths), (den, out, rational))
 
 
 # ---------------------------------------------------------------------------

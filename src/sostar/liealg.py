@@ -9,18 +9,25 @@ on integer coordinates (`linalg._solve`), which takes the sparse integer
 coordinates of each matrix and returns sparse solutions.  A bracket leaving
 the real span raises, which doubles as the closure check.
 
-The Killing matrix B_ij = Tr(ad_i ad_j) is summed on integer coordinates:
-every structure constant is scaled by one common denominator D to an int
-4-tuple over {1, sqrt2, sqrt3, sqrt6}, the traces are sums of products of
-such tuples over the sparse ad matrices, and each entry becomes one
-ExactScalar after a single division by D^2.  Its signature is then decided
-by exact congruence on that ExactScalar matrix.
+The Killing matrix B_ij = Tr(ad_i ad_j) is summed on packed integers: every
+structure constant is scaled by one common denominator D to ints (a, b, c,
+d) over {1, sqrt2, sqrt3, sqrt6}, which are packed into one int by
+Kronecker substitution (sqrt2 -> 2^S, sqrt3 -> 2^(3S)), so that the product
+of two constants is one big-int multiply.  Only products of two nonzero
+constants are formed, as outer products of the sparse vectors
+u_kl[i] = f[i,k,l].  The slot width S is chosen from the largest numerator
+and the dimension so that no slot of a trace sum can overflow, and the
+unpacking raises rather than wrap if one ever did.  Each entry becomes one
+ExactScalar after a single division by D^2, and the signature is decided by
+exact congruence on that ExactScalar matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from . import linalg
@@ -207,8 +214,9 @@ class KillingData:
 def killing(basis: LieBasis) -> KillingData:
     """Killing form of the basis and its (classified) signature.
 
-    The matrix B_ij = Tr(ad_i ad_j) is summed on integer coordinates by
-    `_killing_matrix`, with no field product in the trace loop.  Its
+    The matrix B_ij = Tr(ad_i ad_j) is summed on packed integers by
+    `_killing_matrix`, one big-int multiply per product of two nonzero
+    structure constants and no field product.  Its
     signature is decided exactly by congruence on the resulting ExactScalar
     matrix, and Killing-null directions are classified by the trace form of
     the defining representation.
@@ -231,41 +239,72 @@ def killing(basis: LieBasis) -> KillingData:
 def _killing_matrix(tensor: StructureTensor) -> tuple:
     """B_ij = Tr(ad_i ad_j) = sum_{k,l} f[i,k,l] f[j,l,k], as row tuples.
 
-    Every coefficient is scaled by the common denominator D (the lcm of all
-    coordinate denominators) to an int 4-tuple over {1, sqrt2, sqrt3, sqrt6},
-    so the trace sums run on Python ints with the product table of
-    `ExactScalar.__mul__`; each entry is divided by D^2 once at the end.
-    The ints stay Python ints: on dense data the scaled numerators reach
-    33 bits, so their products would overflow int64.
+    With the vectors u_kl[i] = f[i,k,l], B = C + C^T + D for
+    C = sum_{k<l} u_kl (x) u_lk and D = sum_k u_kk (x) u_kk, so only
+    products of two nonzero coefficients are formed.  Every coefficient is
+    scaled by the common denominator D0 (the lcm of all coordinate
+    denominators) to ints (a, b, c, d) over {1, sqrt2, sqrt3, sqrt6} and
+    packed into the one int a + b*2^S + c*2^(3S) + d*2^(4S) (Kronecker
+    substitution: sqrt2 -> 2^S, sqrt3 -> 2^(3S)), so each product is one
+    big-int multiply, whose monomial sqrt2^p sqrt3^q (p, q <= 2) lands in
+    the slot at bit S*(p + 3q).  A slot of an entry of B sums n^2 products
+    of at most four terms each, so with M the largest scaled numerator its
+    magnitude is at most 4 n^2 M^2 < 2^(S-1) for
+    S = 2 bitlen(M) + bitlen(4 n^2) + 1.  Each entry is unpacked once by
+    `_slots`, folded with sqrt2^2 = 2 and sqrt3^2 = 3, and divided by D0^2.
     """
     n = tensor.dim
     entries = [(i, j, k, v) for (i, j), row in tensor.table.items()
                for k, v in row.items()]
     den, coords = linalg._int_coords([e[3] for e in entries])
-    # ad[i][(k, l)] = f[i, k, l], the (l, k) entry of ad_i
-    ad: list = [{} for _ in range(n)]
-    for (i, j, k, _), t in zip(entries, coords):
-        ad[i][(j, k)] = t
-        ad[j][(i, k)] = tuple(-x for x in t)
+    top = max(map(abs, chain.from_iterable(coords)), default=0)
+    shift = 2 * top.bit_length() + (4 * n * n).bit_length() + 1
+    # u[k, l] lists the pairs (i, packed f[i, k, l]) of nonzero coefficients
+    u = defaultdict(list)
+    for (i, j, k, _), (a, b, c, d) in zip(entries, coords):
+        p = a + (b << shift) + (c << 3 * shift) + (d << 4 * shift)
+        u[j, k].append((i, p))
+        u[i, k].append((j, -p))
+    cross = [[0] * n for _ in range(n)]
+    square = [[0] * n for _ in range(n)]
+    meetings = [(cross, x, u[l, k]) for (k, l), x in u.items()
+                if k < l and (l, k) in u]
+    meetings += [(square, x, x) for (k, l), x in u.items() if k == l]
+    for acc, x, y in meetings:
+        for i, p in x:
+            row = acc[i]
+            for j, q in y:
+                row[j] += p * q
     den2 = den * den
     b = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        adi = ad[i]
         for j in range(i, n):
-            adj = ad[j]
-            sa = sb = sc = sd = 0
-            for (k, l), (a1, b1, c1, d1) in adi.items():
-                w = adj.get((l, k))
-                if w is not None:
-                    # the product table of ExactScalar.__mul__
-                    a2, b2, c2, d2 = w
-                    sa += a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2
-                    sb += a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2)
-                    sc += a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
-                    sd += a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-            if sa or sb or sc or sd:
-                b[i][j] = b[j][i] = _from_ints(sa, sb, sc, sd, den2)
+            v = cross[i][j] + cross[j][i] + square[i][j]
+            if v:
+                c00, c10, c20, c01, c11, c21, c02, c12, c22 = _slots(v, shift)
+                b[i][j] = b[j][i] = _from_ints(
+                    c00 + 2 * c20 + 3 * c02 + 6 * c22, c10 + 3 * c12,
+                    c01 + 2 * c21, c11, den2)
     return tuple(map(tuple, b))
+
+
+def _slots(v: int, shift: int) -> list:
+    """The nine signed slots s_0..s_8 of v = sum_t s_t 2^(S t), S = shift,
+    each of magnitude below 2^(S-1).  Raises OverflowError when a slot
+    reaches that bound or something is left over after the nine slots, so a
+    sum that outgrows its slots never wraps into a wrong value silently."""
+    half = 1 << (shift - 1)
+    mask = (1 << shift) - 1
+    out = []
+    for _ in range(9):
+        s = ((v + half) & mask) - half
+        if s == -half:
+            raise OverflowError(f"a packed slot reaches 2^{shift - 1}")
+        out.append(s)
+        v = (v - s) >> shift
+    if v:
+        raise OverflowError("a packed sum does not fit in nine slots")
+    return out
 
 
 def _classify_radical(basis: LieBasis, b) -> tuple[int, int, int]:

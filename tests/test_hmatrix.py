@@ -12,7 +12,7 @@ from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
                             from_blocks, i_pq, is_sostar_algebra, is_sostar_group,
                             is_sostar_group_embedded, is_spstar_algebra,
                             is_spstar_group, is_su_group_embedded, max_abs_diff,
-                            quaternionic_structure_commutant_check)
+                            kron, quaternionic_structure_commutant_check)
 from sostar.quaternion import Q_I, Q_J, Q_ONE, Q_ZERO, Quaternion
 from sostar.scalars import C_I, C_ONE, C_ZERO, ExactComplex, ExactScalar
 
@@ -647,3 +647,57 @@ def test_from_blocks_rejects_block_columns_of_different_widths():
     with pytest.raises(ValueError):
         from_blocks([[CMatrix.identity(2)],
                      [CMatrix.zeros(2, 1), CMatrix.zeros(2, 1)]])
+
+
+# -- block assembly, block slices and Kronecker products on the integer form ---
+
+@st.composite
+def _cmatrix(draw, rows, cols):
+    """A rows x cols CMatrix, rational or irrational, sparse or dense."""
+    scalar = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+    entry = st.builds(ExactComplex, scalar, scalar)
+    if draw(st.booleans()):  # sparse: about half the entries vanish
+        entry = st.one_of(st.just(C_ZERO), entry)
+    return CMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+def _sizes(draw):
+    return draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_from_blocks_and_block_slices_match_the_entries(data):
+    heights, widths = _sizes(data.draw), _sizes(data.draw)
+    blocks = [[data.draw(_cmatrix(h, w)) for w in widths] for h in heights]
+    m = from_blocks(blocks)
+    assert m._grid is None  # assembled on the integer forms, no element built
+    want = CMatrix([[e for blk in brow for e in blk.entries[r]]
+                    for brow in blocks for r in range(brow[0].rows)])
+    assert m._nonzeros() == _dense_pattern(want)
+    assert m == want and hash(m) == hash(want)
+    r0 = 0
+    for h, brow in zip(heights, blocks):
+        c0 = 0
+        for w, blk in zip(widths, brow):
+            part = m._block(r0, r0 + h, c0, c0 + w)
+            assert part._grid is None
+            assert (part.rows, part.cols) == (h, w)
+            assert part._nonzeros() == _dense_pattern(blk) and part == blk
+            c0 += w
+        r0 += h
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_kron_matches_the_entrywise_products(data):
+    p, q, r, s = (data.draw(st.integers(1, 3)) for _ in range(4))
+    a, b = data.draw(_cmatrix(p, q)), data.draw(_cmatrix(r, s))
+    got = kron(a, b)
+    assert got._grid is None  # one product of two integer forms
+    want = CMatrix([[a.entries[i][j] * b.entries[k][l]
+                     for j in range(q) for l in range(s)]
+                    for i in range(p) for k in range(r)])
+    assert (got.rows, got.cols) == (p * r, q * s)
+    assert got._nonzeros() == _dense_pattern(want)
+    assert got == want and hash(got) == hash(want)

@@ -4,12 +4,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
 from sostar import liealg, linalg, scalars
 from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
 from sostar.liealg import (COMPLEX_EXACT, LieBasis, StructureTensor,
-                           _killing_matrix, bracket, commutant_dimension,
+                           _killing_matrix, _slots, bracket,
+                           commutant_dimension,
                            compact_generator_count, killing, matrix_exp,
                            structure_constants)
 from sostar.quaternion import Q_J, Quaternion
@@ -288,6 +290,160 @@ def test_killing_matrix_makes_no_exact_scalar_product(dense_sostar6,
     calls.clear()
     _killing_matrix(dense_sostar6)
     assert calls == []
+
+
+# -- packing bounds: large numerators, the empty tensor and the slot decoder ---
+
+def _wide_tensor(seed, n=5, bits=200, fill=0.7):
+    """An antisymmetric tensor whose coordinates have `bits`-bit numerators
+    over the denominators 3, 7 and 32."""
+    rng = random.Random(seed)
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = {k: ExactScalar(*(
+                Fraction(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1)),
+                         rng.choice(_DENOMINATORS)) for _ in range(4)))
+                for k in range(n) if rng.random() < fill}
+            if row:
+                table[(i, j)] = row
+    return StructureTensor(n, table)
+
+
+def _saturated_tensor(n=5, bits=200):
+    """Every coefficient f[i, j, k] (i < j) is M (1 + sqrt2 + sqrt3 + sqrt6)
+    with M = 2^bits - 1, so every product fills all nine slots."""
+    m = (1 << bits) - 1
+    v = ExactScalar(m, m, m, m)
+    return StructureTensor(n, {(i, j): {k: v for k in range(n)}
+                               for i in range(n) for j in range(i + 1, n)})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_killing_matrix_matches_reference_with_200_bit_numerators(seed):
+    tensor = _wide_tensor(seed)
+    top = max(abs(x.numerator) for row in tensor.table.values()
+              for v in row.values() for x in (v.a, v.b, v.c, v.d))
+    assert top.bit_length() == 200
+    assert_matches_reference(tensor)
+
+
+def test_killing_matrix_matches_reference_on_a_saturated_tensor():
+    assert_matches_reference(_saturated_tensor())
+
+
+_coefficient = st.builds(ExactScalar, *(
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.sampled_from([1, 2, 3, 7, 32]))
+    for _ in range(4))).filter(lambda v: not v.is_zero())
+
+
+@st.composite
+def _tensors(draw):
+    n = draw(st.integers(1, 5))
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = draw(st.dictionaries(st.integers(0, n - 1), _coefficient,
+                                       max_size=n))
+            if row:
+                table[(i, j)] = row
+    return StructureTensor(n, table)
+
+
+@settings(deadline=None)
+@given(_tensors())
+def test_killing_matrix_matches_reference_on_drawn_tensors(tensor):
+    assert_matches_reference(tensor)
+
+
+_SHIFT = 13
+_EDGE = (1 << (_SHIFT - 1)) - 1  # the largest slot magnitude that fits
+
+
+def _packed(slots):
+    return sum(s << (_SHIFT * t) for t, s in enumerate(slots))
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("slot", range(9))
+def test_slot_at_the_bound_round_trips(slot, sign):
+    slots = [(-1) ** t * t for t in range(9)]
+    slots[slot] = sign * _EDGE
+    assert _slots(_packed(slots), _SHIFT) == slots
+    edges = [(-1) ** (t + (sign < 0)) * _EDGE for t in range(9)]
+    assert _slots(_packed(edges), _SHIFT) == edges
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("slot", range(9))
+def test_slot_one_past_the_bound_raises(slot, sign):
+    slots = [(-1) ** t * t for t in range(9)]
+    slots[slot] = sign * (_EDGE + 1)
+    with pytest.raises(OverflowError):
+        _slots(_packed(slots), _SHIFT)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_value_beyond_nine_slots_raises(sign):
+    with pytest.raises(OverflowError, match="nine slots"):
+        _slots(sign * (1 << (9 * _SHIFT)), _SHIFT)
+
+
+# -- the Killing form against the trace form of the defining representation ---
+#
+# With e = embed, the 2n x 2n complex image of a quaternionic basis,
+# B(X, Y) = c tr(e(X) e(Y)): so*(2n) lies in so(2n, C), c = 2n - 2;
+# sp*(p, q) in sp(2(p + q), C), c = 2(p + q) + 2; sl(n, H) in sl(2n, C),
+# c = 4n.  The trace form never forms a structure constant.
+
+def trace_form_difference(basis, b, c):
+    """The first (i, j, B_ij, c tr(e_i e_j)) where the Killing matrix b is
+    not c times the trace form of the embedded generators, else None."""
+    emb = [g.embed() for g in basis.generators]
+    for i, x in enumerate(emb):
+        for j in range(i, len(emb)):
+            t = (x @ emb[j]).trace()
+            if not t.im.is_zero() or b[i][j] != t.re * c:
+                return i, j, b[i][j], t * c
+    return None
+
+
+@pytest.mark.parametrize("kind, n, p, q, c", [
+    (SO_STAR, 2, None, None, 2), (SO_STAR, 3, None, None, 4),
+    (SP_STAR, 2, 1, 1, 6), (SP_STAR, 3, 2, 1, 8), (SL_H, 2, None, None, 8)],
+    ids=["sostar4", "sostar6", "spstar11", "spstar21", "slH2"])
+def test_killing_matrix_is_a_multiple_of_the_trace_form(kind, n, p, q, c):
+    basis = generic_basis(kind, n, p, q)
+    b = _killing_matrix(basis.structure_constants())
+    assert trace_form_difference(basis, b, c) is None
+
+
+@pytest.mark.parametrize("n, extra", [(3, 2), (4, 1)], ids=["sostar6", "sostar8"])
+def test_dense_killing_matrix_is_a_multiple_of_the_trace_form(n, extra):
+    rng = random.Random("dense_mixed/31")
+    basis = LieBasis("dense", "quaternionic",
+                     _perfbench_workloads().dense_generators(rng, n, extra))
+    tensor = basis.structure_constants()
+    assert any(not v.is_rational() for row in tensor.table.values()
+               for v in row.values())
+    b = _killing_matrix(tensor)
+    assert trace_form_difference(basis, b, 2 * n - 2) is None
+
+
+def test_changed_coefficient_breaks_the_trace_form_identity(dense_sostar6_basis,
+                                                            dense_sostar6):
+    # negative control: one structure constant times (1 + sqrt2)
+    table = {pair: dict(row) for pair, row in dense_sostar6.table.items()}
+    pair = min(table)
+    k = min(table[pair])
+    table[pair][k] = table[pair][k] * ExactScalar(1, 1)
+    b = _killing_matrix(StructureTensor(dense_sostar6.dim, table))
+    witness = trace_form_difference(dense_sostar6_basis, b, 4)
+    assert witness is not None
+    i, j, got, wanted = witness
+    print(f"Killing matrix leaves 4 tr(e_i e_j) at ({i}, {j}): "
+          f"got {got!r}, wanted {wanted!r}")
+    assert ExactComplex(got) != wanted
 
 
 def test_memoized_killing_matrix_is_read_only():
