@@ -408,26 +408,30 @@ def trace_form_difference(basis, b, c):
     return None
 
 
-@pytest.mark.parametrize("kind, n, p, q, c", [
-    (SO_STAR, 2, None, None, 2), (SO_STAR, 3, None, None, 4),
-    (SP_STAR, 2, 1, 1, 6), (SP_STAR, 3, 2, 1, 8), (SL_H, 2, None, None, 8)],
-    ids=["sostar4", "sostar6", "spstar11", "spstar21", "slH2"])
-def test_killing_matrix_is_a_multiple_of_the_trace_form(kind, n, p, q, c):
-    basis = generic_basis(kind, n, p, q)
-    b = _killing_matrix(basis.structure_constants())
-    assert trace_form_difference(basis, b, c) is None
-
-
-@pytest.mark.parametrize("n, extra", [(3, 2), (4, 1)], ids=["sostar6", "sostar8"])
-def test_dense_killing_matrix_is_a_multiple_of_the_trace_form(n, extra):
+def _dense_trace_form_basis(n, extra):
     rng = random.Random("dense_mixed/31")
     basis = LieBasis("dense", "quaternionic",
                      _perfbench_workloads().dense_generators(rng, n, extra))
-    tensor = basis.structure_constants()
-    assert any(not v.is_rational() for row in tensor.table.values()
+    assert any(not v.is_rational()
+               for row in basis.structure_constants().table.values()
                for v in row.values())
-    b = _killing_matrix(tensor)
-    assert trace_form_difference(basis, b, 2 * n - 2) is None
+    return basis
+
+
+@pytest.mark.parametrize("make_basis, c", [
+    (lambda: generic_basis(SO_STAR, 2), 2),
+    (lambda: generic_basis(SO_STAR, 3), 4),
+    (lambda: generic_basis(SP_STAR, 2, 1, 1), 6),
+    (lambda: generic_basis(SP_STAR, 3, 2, 1), 8),
+    (lambda: generic_basis(SL_H, 2), 8),
+    (lambda: _dense_trace_form_basis(3, 2), 4),
+    (lambda: _dense_trace_form_basis(4, 1), 6)],
+    ids=["sostar4", "sostar6", "spstar11", "spstar21", "slH2",
+         "dense-sostar6", "dense-sostar8"])
+def test_killing_matrix_is_a_multiple_of_the_trace_form(make_basis, c):
+    basis = make_basis()
+    b = _killing_matrix(basis.structure_constants())
+    assert trace_form_difference(basis, b, c) is None
 
 
 def test_changed_coefficient_breaks_the_trace_form_identity(dense_sostar6_basis,

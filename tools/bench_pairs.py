@@ -2,8 +2,7 @@
 
     python3 tools/bench_pairs.py --parent TREE --change TREE --pr N \\
         --workload NAME [--workload NAME ...] --seed S [--seed S ...] \\
-        [--pairs 10] [--seconds 60] [--trace-seed S] [--what TEXT] \\
-        [--out BENCH_N.json]
+        [--pairs 10] [--seconds 60] [--trace-seed S] [--what TEXT]
 
 A tree is a source checkout holding src/, perfbench/ and BENCHMARK.json.
 Every run copies those three into a fresh temporary directory and runs
@@ -13,12 +12,12 @@ seed, pair p runs the parent first when p is even and the change first when
 p is odd.  With --trace-seed, each workload also gets one --trace 1 run per
 side on that seed.
 
-The JSON written (BENCH_N.json in the current directory unless --out is
-given) holds: what, command, protocol, host, summary, runs and trace.  For
-each workload/seed and end-to-end metric, the summary gives both sides'
-median and quartiles over the pairs, the ratio of the medians (change over
-parent), the parent's interquartile range, and the number of pairs in which
-the change is lower and higher.  `runs` and `trace` keep the two JSON lines
+The JSON written to BENCH_N.json in the current directory holds: what,
+command, protocol, host, summary, runs and trace.  For each workload/seed
+and end-to-end metric, the summary gives both sides' median and quartiles
+over the pairs, the ratio of the medians (change over parent), the parent's
+interquartile range, and the number of pairs in which the change is lower
+and higher.  `runs` and `trace` keep the two JSON lines
 that every run printed.  Only the standard library is used.
 """
 
@@ -124,7 +123,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=60)
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--what", default="")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -168,8 +166,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "trace": traces,
     }
-    out = args.out or Path(f"BENCH_{args.pr}.json")
-    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    Path(f"BENCH_{args.pr}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
