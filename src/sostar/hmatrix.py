@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -42,20 +41,52 @@ DEFAULT_TOL = 1e-9
 # -- the integer form ----------------------------------------------------------
 #
 # The integer form of a matrix is (den, rows, rational): one common positive
-# denominator, and per row a {column: ints} dict of its nonzero entries.  An
-# entry of a rational form holds one int per ring coordinate, k of them (k = 2
-# for complex, 4 for quaternion entries).  Otherwise it holds four blocks of k
-# ints, the rational ring elements that multiply 1, sqrt2, sqrt3 and sqrt6, in
-# that order, so ring coordinate p over {1, sqrt2, sqrt3, sqrt6} is t[p::k].
-# Basis elements u, v multiply to _FIELD_SQUARES[u & v] times element u ^ v
-# (bit 0 stands for sqrt2, bit 1 for sqrt3).  The dicts are never changed
-# once built, so forms share them freely.
+# denominator, and a dict {i: {j: ints}} that holds the nonzero entries of
+# each row i that has one; a row of zeros has no key, so every kernel below
+# loops only over the rows and entries that are present, and a zero matrix
+# has rows == {}.  The form does not know its height or width: the shape lives
+# on the matrix, and `_from_form` takes it explicitly.  An entry of a rational
+# form holds one int per ring coordinate, k of them (k = 2 for complex, 4 for
+# quaternion entries).  Otherwise it holds four blocks of k ints, the rational
+# ring elements that multiply 1, sqrt2, sqrt3 and sqrt6, in that order, so
+# ring coordinate p over {1, sqrt2, sqrt3, sqrt6} is t[p::k].  Basis elements
+# u, v multiply to _FIELD_SQUARES[u & v] times element u ^ v (bit 0 stands for
+# sqrt2, bit 1 for sqrt3).  The dicts are never changed once built, so forms
+# share them freely.
+#
+# An entry of a product that received a single term is never zero, so only a
+# row where some entry received a second term is scanned for zeros.  The
+# entries lie in C, H, Q(sqrt2, sqrt3)(i) or H (x) Q(sqrt2, sqrt3), and none of
+# them has zero divisors: the first three are division rings, and so is the
+# last, because Q(sqrt2, sqrt3) is totally real, so the norm t^2 + x^2 + y^2 +
+# z^2 of a nonzero quaternion over it is positive in every real embedding.
 
 _FIELD_SQUARES = (1, 2, 3, 6)
 
 
 def _scalar(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
     return _from_ints(a, b, c, d, den) if a or b or c or d else ZERO
+
+
+def _form(parts, items) -> tuple:
+    """The integer form of the matrix with the element e at (i, j) for each
+    pair ((i, j), e) of `items` and zero elsewhere; zero elements are
+    skipped.  `parts` gives an element's ExactScalar coordinates, and den is
+    the lcm of their denominators."""
+    nonzero = [(i, j, parts(e)) for (i, j), e in items if not e.is_zero()]
+    values = [s for _, _, ps in nonzero for s in ps]
+    den = math.lcm(*(s._den for s in values))
+    rational = all(s.is_rational() for s in values)
+    blocks = range(1) if rational else range(4)
+    rows = {}
+    for i, j, ps in nonzero:
+        t = tuple(s._num[u] * (den // s._den) for u in blocks for s in ps)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: t}
+        else:
+            row[j] = t
+    return den, rows, rational
 
 
 def _complex_mul(x, y):
@@ -73,46 +104,63 @@ def _hamilton_mul(x, y):
             t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2)
 
 
-def _rational_rows(left, right, mul) -> list:
+def _rational_rows(left, right, mul) -> dict:
     """Rows of the product of two rational forms, row by row (Gustavson's
     row-wise product): each nonzero left[i][m] meets only the nonzeros of
-    row m of `right`, and only accumulated entries are tested for zero, so
-    terms that cancel leave no entry behind.  `mul` is the ring product of
-    two entries."""
-    out = []
-    for lrow in left:
+    row m of `right`.  A row is scanned for zeros only when some entry
+    received two terms, so terms that cancel leave no entry behind.  `mul`
+    is the ring product of two entries."""
+    out = {}
+    for i, lrow in left.items():
         acc = {}
+        summed = False
         for m, x in lrow.items():
-            for j, y in right[m].items():
-                p = mul(x, y)
+            rrow = right.get(m)
+            if rrow is None:
+                continue
+            for j, y in rrow.items():
                 s = acc.get(j)
-                acc[j] = p if s is None else tuple(map(add, s, p))
-        out.append({j: s for j, s in acc.items() if any(s)})
+                if s is None:
+                    acc[j] = mul(x, y)
+                else:
+                    acc[j] = tuple(map(add, s, mul(x, y)))
+                    summed = True
+        if summed:
+            acc = {j: s for j, s in acc.items() if any(s)}
+        if acc:
+            out[i] = acc
     return out
 
 
-def _blocks(rows, rational: bool, k: int) -> list:
-    """Each entry of a form as the list of its nonzero blocks (u, k ints)."""
+def _blocks(rows, rational: bool, k: int) -> dict:
+    """Each entry of a form's rows as the list of its nonzero blocks
+    (u, k ints)."""
     if rational:
-        return [{j: [(0, t)] for j, t in row.items()} for row in rows]
-    return [{j: [(u, t[u * k:u * k + k]) for u in range(4) if any(t[u * k:u * k + k])]
-             for j, t in row.items()} for row in rows]
+        return {i: {j: [(0, t)] for j, t in row.items()} for i, row in rows.items()}
+    return {i: {j: [(u, t[u * k:u * k + k]) for u in range(4) if any(t[u * k:u * k + k])]
+                for j, t in row.items()} for i, row in rows.items()}
 
 
-def _field_rows(left, right, k: int, mul) -> list:
+def _field_rows(left, right, k: int, mul) -> dict:
     """Rows of the product of two forms given by `_blocks`, row by row as in
     `_rational_rows`; `mul` is the ring product of two blocks.  Each output
     entry keeps its four blocks in a list, and every block product is added
     into its block in place."""
     zero = (0,) * k
-    out = []
-    for lrow in left:
+    out = {}
+    for i, lrow in left.items():
         acc = {}
+        summed = False
         for m, xb in lrow.items():
-            for j, yb in right[m].items():
+            rrow = right.get(m)
+            if rrow is None:
+                continue
+            for j, yb in rrow.items():
                 blocks = acc.get(j)
                 if blocks is None:
                     blocks = acc[j] = [None, None, None, None]
+                else:
+                    summed = True
                 for u, xu in xb:
                     for v, yv in yb:
                         p = mul(xu, yv)
@@ -122,32 +170,34 @@ def _field_rows(left, right, k: int, mul) -> list:
                         w = u ^ v
                         s = blocks[w]
                         blocks[w] = p if s is None else tuple(map(add, s, p))
-        row = {}
-        for j, blocks in acc.items():
-            t = tuple(chain.from_iterable(b or zero for b in blocks))
-            if any(t):
-                row[j] = t
-        out.append(row)
+        row = {j: (a or zero) + (b or zero) + (c or zero) + (d or zero)
+               for j, (a, b, c, d) in acc.items()}
+        if summed:
+            row = {j: t for j, t in row.items() if any(t)}
+        if row:
+            out[i] = row
     return out
 
 
-def _product(cls, x: tuple, y: tuple) -> tuple:
-    """The form of the product of the matrices of type `cls` with forms x, y.
-    Its denominator is the product of theirs, so x@y and y@x share one."""
-    dx, left, xrat = x
-    dy, right, yrat = y
+def _product(a, b):
+    """a @ b for matrices of one type whose shapes match, on their integer
+    forms.  Its denominator is the product of theirs, so x@y and y@x share
+    one.  An irrational product reads both operands' blocks, which each
+    matrix splits once and keeps."""
+    cls = type(a)
+    dx, left, xrat = a._int_form()
+    dy, right, yrat = b._int_form()
     if xrat and yrat:
         rows = _rational_rows(left, right, cls._ring_mul)
     else:
-        k = len(cls._entry._fields)
-        rows = _field_rows(_blocks(left, xrat, k), _blocks(right, yrat, k), k,
-                           cls._ring_mul)
-    return dx * dy, rows, xrat and yrat
+        rows = _field_rows(a._blocked_rows(), b._blocked_rows(),
+                           len(cls._entry._fields), cls._ring_mul)
+    return cls._from_form(a.rows, b.cols, (dx * dy, rows, xrat and yrat))
 
 
-def _rescaled(rows, f: int) -> list:
-    return rows if f == 1 else [{j: tuple(f * z for z in t) for j, t in row.items()}
-                                for row in rows]
+def _rescaled(rows, f: int) -> dict:
+    return rows if f == 1 else {i: {j: tuple(f * z for z in t) for j, t in row.items()}
+                                for i, row in rows.items()}
 
 
 def _common(forms, k: int) -> tuple:
@@ -160,30 +210,43 @@ def _common(forms, k: int) -> tuple:
     out = []
     for d, rows, rat in forms:
         if rat and not rational:
-            rows = [{j: t + pad for j, t in row.items()} for row in rows]
+            rows = {i: {j: t + pad for j, t in row.items()} for i, row in rows.items()}
         out.append(_rescaled(rows, den // d))
     return den, out, rational
 
 
 def _merge(x: tuple, y: tuple, op, k: int) -> tuple:
     """The form of op(X, Y) for op = add or sub, merging the rows of the
-    forms x, y; entries that cancel are dropped."""
-    den, (left, right), rational = _common((x, y), k)
-    out = []
-    for lrow, rrow in zip(left, right):
-        if rrow:
-            lrow = dict(lrow)
-            for j, t in rrow.items():
-                s = lrow.get(j)
-                if s is None:
-                    lrow[j] = t if op is add else tuple(-z for z in t)
+    forms x, y; entries that cancel are dropped, and so are rows that
+    empty.  The forms are brought over one denominator and layout only when
+    theirs differ."""
+    if x[0] == y[0] and x[2] == y[2]:
+        den, left, rational = x
+        right = y[1]
+    else:
+        den, (left, right), rational = _common((x, y), k)
+    out = dict(left)
+    for i, rrow in right.items():
+        lrow = out.get(i)
+        if lrow is None:
+            out[i] = rrow if op is add else {j: tuple(-z for z in t)
+                                             for j, t in rrow.items()}
+            continue
+        lrow = dict(lrow)
+        for j, t in rrow.items():
+            s = lrow.get(j)
+            if s is None:
+                lrow[j] = t if op is add else tuple(-z for z in t)
+            else:
+                s = tuple(map(op, s, t))
+                if any(s):
+                    lrow[j] = s
                 else:
-                    s = tuple(map(op, s, t))
-                    if any(s):
-                        lrow[j] = s
-                    else:
-                        del lrow[j]
-        out.append(lrow)
+                    del lrow[j]
+        if lrow:
+            out[i] = lrow
+        else:
+            del out[i]
     return den, out, rational
 
 
@@ -191,8 +254,8 @@ def _signed(form: tuple, signs: tuple) -> tuple:
     """The form with ring coordinate p of every entry times signs[p]."""
     den, rows, rational = form
     signs = signs if rational else signs * 4
-    return den, [{j: tuple(s * z for s, z in zip(signs, t)) for j, t in row.items()}
-                 for row in rows], rational
+    return den, {i: {j: tuple(s * z for s, z in zip(signs, t)) for j, t in row.items()}
+                 for i, row in rows.items()}, rational
 
 
 def _interleave(re, im) -> tuple:
@@ -207,16 +270,23 @@ class _ExactMatrix:
     integer form (the complex or the Hamilton product table); the
     ring-specific operations live on the subclass.
 
-    A matrix holds its value in one or both of two forms, and builds the
-    other from it the first time it is read: the grid `entries` of elements,
-    which the public constructor takes, and the integer form described
-    above, which every operation computes on and hands to the trusted
-    constructor `_from_form`.  The result of an operation therefore holds no
-    element until its entries or coordinates are read, and each element is
-    then reduced to lowest terms.
+    A matrix holds its shape (`rows`, `cols`) and its value in one or both of
+    two forms, and builds the other from it the first time it is read: the
+    grid `entries` of elements, which the public constructor takes, and the
+    integer form described above, which holds only the nonempty rows and
+    which every operation computes on and hands to the trusted constructor
+    `_from_form`.  The result of an operation therefore holds no element
+    until its entries or coordinates are read, and each element is then
+    reduced to lowest terms.  `sparse`, `diag`, `identity` and `zeros` build
+    the integer form straight from their nonzero inputs and hold no grid.
+
+    A third slot keeps the blocked view of the integer form (`_blocks`), the
+    operand layout of an irrational product.  It is split on the first
+    irrational product the matrix enters and kept for the matrix's lifetime,
+    so a generator that meets every other one in brackets is split once.
     """
 
-    __slots__ = ("rows", "cols", "_grid", "_ints")
+    __slots__ = ("rows", "cols", "_grid", "_ints", "_blocked")
 
     _entry: type
     _zero: object
@@ -236,16 +306,19 @@ class _ExactMatrix:
         _set_rows(self, len(grid))
         _set_cols(self, width)
         _set_ints(self, None)
+        _set_blocked(self, None)
 
     @classmethod
-    def _from_form(cls, cols: int, form: tuple):
-        """The matrix with `cols` columns and the integer form `form`, whose
-        rows hold only nonzero entries.  Trusted: nothing is checked."""
+    def _from_form(cls, rows: int, cols: int, form: tuple):
+        """The rows x cols matrix with the integer form `form`, whose rows
+        hold only nonzero entries and which has no empty row.  Trusted:
+        nothing is checked."""
         m = object.__new__(cls)
         _set_grid(m, None)
-        _set_rows(m, len(form[1]))
+        _set_rows(m, rows)
         _set_cols(m, cols)
         _set_ints(m, form)
+        _set_blocked(m, None)
         return m
 
     def _int_form(self) -> tuple:
@@ -253,18 +326,21 @@ class _ExactMatrix:
         on first use: den is the lcm of all coordinate denominators."""
         form = self._ints
         if form is None:
-            parts = self._entry._parts
-            nz = [[(j, parts(e)) for j, e in enumerate(row) if not e.is_zero()]
-                  for row in self._grid]
-            values = [s for row in nz for _, ps in row for s in ps]
-            den = math.lcm(*(s._den for s in values))
-            rational = all(s.is_rational() for s in values)
-            blocks = range(1) if rational else range(4)
-            form = (den, [{j: tuple(s._num[u] * (den // s._den)
-                                    for u in blocks for s in ps) for j, ps in row}
-                          for row in nz], rational)
+            form = _form(self._entry._parts, (((i, j), e)
+                                              for i, row in enumerate(self._grid)
+                                              for j, e in enumerate(row)))
             _set_ints(self, form)
         return form
+
+    def _blocked_rows(self) -> dict:
+        """The rows of the integer form split into blocks by `_blocks`,
+        computed on first use and kept."""
+        blocked = self._blocked
+        if blocked is None:
+            _, rows, rational = self._int_form()
+            blocked = _blocks(rows, rational, len(self._entry._fields))
+            _set_blocked(self, blocked)
+        return blocked
 
     def _entry_of(self, t: tuple, den: int, rational: bool):
         """The element with the ints `t` of a form over `den`."""
@@ -280,8 +356,10 @@ class _ExactMatrix:
             return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
                          for row in self._grid)
         den, rows, rational = self._ints
+        empty = {}
         return tuple(tuple((j, self._entry_of(row[j], den, rational))
-                           for j in sorted(row)) for row in rows)
+                           for j in sorted(row))
+                     for row in (rows.get(i, empty) for i in range(self.rows)))
 
     @property
     def entries(self) -> tuple:
@@ -300,16 +378,18 @@ class _ExactMatrix:
         return grid
 
     def _like(self, form: tuple):
-        return self._from_form(self.cols, form)
+        return self._from_form(self.rows, self.cols, form)
 
     def _left_scaled(self, e):
         """e times every entry, from the left, for one ring element e: the
-        product of e times the identity with this matrix."""
-        den, (row,), rational = type(self)([[e]])._int_form()
-        t = row.get(0)
-        diag = [{} if t is None else {i: t} for i in range(self.rows)]
-        return self._like(_product(type(self), (den, diag, rational),
-                                   self._int_form()))
+        product of e times the identity with this matrix.  The identity
+        keeps e only in the rows where this matrix has an entry."""
+        den, scalar, rational = _form(self._entry._parts, [((0, 0), e)])
+        rows = self._int_form()[1]
+        t = scalar[0][0] if scalar else None
+        diag = {} if t is None else {i: {i: t} for i in rows}
+        return _product(self._from_form(self.rows, self.rows, (den, diag, rational)),
+                        self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -319,10 +399,14 @@ class _ExactMatrix:
     @classmethod
     def sparse(cls, n: int, entries: dict):
         """n x n matrix from {(row, col): entry}, zero elsewhere."""
-        grid = [[cls._zero] * n for _ in range(n)]
-        for (r, c), v in entries.items():
-            grid[r][c] = v
-        return cls(grid)
+        for r, c in entries:
+            if not (0 <= r < n and 0 <= c < n):
+                raise IndexError(f"index {(r, c)} outside a {n} x {n} matrix")
+        coerce = cls._entry.coerce
+        items = [(rc, coerce(v)) for rc, v in entries.items()]
+        if n < 1:
+            raise ValueError(f"{cls.__name__} cannot be empty")
+        return cls._from_form(n, n, _form(cls._entry._parts, items))
 
     @classmethod
     def identity(cls, n: int):
@@ -330,7 +414,9 @@ class _ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int):
-        return cls([[cls._zero] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{cls.__name__} cannot be empty")
+        return cls._from_form(rows, cols, (1, {}, True))
 
     @classmethod
     def diag(cls, values: Iterable):
@@ -344,8 +430,7 @@ class _ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        return other._like(_product(type(self), self._int_form(),
-                                    other._int_form()))
+        return _product(self, other)
 
     def _merged(self, other, op):
         if type(other) is not type(self):
@@ -368,19 +453,28 @@ class _ExactMatrix:
     def transpose(self):
         """Plain transpose.  Not a homomorphism over the quaternions."""
         den, rows, rational = self._int_form()
-        columns = [{} for _ in range(self.cols)]
-        for i, row in enumerate(rows):
+        columns = {}
+        for i, row in rows.items():
             for j, t in row.items():
-                columns[j][i] = t
-        return self._from_form(self.rows, (den, columns, rational))
+                column = columns.get(j)
+                if column is None:
+                    columns[j] = {i: t}
+                else:
+                    column[i] = t
+        return self._from_form(self.cols, self.rows, (den, columns, rational))
 
     def _block(self, r0: int, r1: int, c0: int, c1: int):
         """The submatrix of rows r0..r1-1 and columns c0..c1-1, sliced from
         the integer form; it keeps this matrix's denominator."""
         den, rows, rational = self._int_form()
-        return self._from_form(c1 - c0, (den, [
-            {j - c0: t for j, t in row.items() if c0 <= j < c1}
-            for row in rows[r0:r1]], rational))
+        out = {}
+        for i in range(r0, r1):
+            row = rows.get(i)
+            if row is not None:
+                part = {j - c0: t for j, t in row.items() if c0 <= j < c1}
+                if part:
+                    out[i - r0] = part
+        return self._from_form(r1 - r0, c1 - c0, (den, out, rational))
 
     def trace(self):
         if self.rows != self.cols:
@@ -391,7 +485,7 @@ class _ExactMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return not any(self._int_form()[1])
+        return not self._int_form()[1]
 
     def _coordinate_ints(self) -> tuple:
         """(den, {index: int 4-tuple}): the nonzero real coordinates, indexed
@@ -401,7 +495,7 @@ class _ExactMatrix:
         k = len(self._entry._fields)
         width = self.cols * k
         out = {}
-        for i, row in enumerate(rows):
+        for i, row in rows.items():
             for j, t in row.items():
                 base = i * width + j * k
                 for p in range(k):
@@ -451,6 +545,7 @@ _set_grid = _ExactMatrix._grid.__set__
 _set_rows = _ExactMatrix.rows.__set__
 _set_cols = _ExactMatrix.cols.__set__
 _set_ints = _ExactMatrix._ints.__set__
+_set_blocked = _ExactMatrix._blocked.__set__
 
 
 class HMatrix(_ExactMatrix):
@@ -496,8 +591,8 @@ class HMatrix(_ExactMatrix):
         complex conjugate-transpose and rev_transpose to the plain transpose.
         """
         den, rows, rational = self._int_form()
-        out = []
-        for row in rows:
+        out = {}
+        for i, row in rows.items():
             top, bottom = {}, {}
             for j, q in row.items():
                 # coordinate p of every block of q, as in `_coordinate_ints`
@@ -509,8 +604,9 @@ class HMatrix(_ExactMatrix):
                                           (bottom, 2 * j + 1, t, neg_z)):
                     if any(re) or any(im):
                         half[col] = _interleave(re, im)
-            out += (top, bottom)
-        return CMatrix._from_form(2 * self.cols, (den, out, rational))
+            # a nonzero q has a nonzero entry in both rows of its block
+            out[2 * i], out[2 * i + 1] = top, bottom
+        return CMatrix._from_form(2 * self.rows, 2 * self.cols, (den, out, rational))
 
     def study_det(self) -> ExactComplex:
         """Determinant of the complex 2n x 2n image (exact Bareiss elimination).
@@ -575,17 +671,17 @@ class CMatrix(_ExactMatrix):
 def kron(a: CMatrix, b: CMatrix) -> CMatrix:
     """Kronecker product of CMatrix factors, as the product
     (A (x) I_r)(I_q (x) B) of two integer forms that only place the entries
-    of A and B, for A q columns wide and B r rows high: each entry of the
-    result is one product a_ij b_kl."""
+    of A and B, for A p x q and B r x s: each entry of the result is one
+    product a_ij b_kl, so no row of it is scanned for zeros."""
     da, arows, arat = a._int_form()
     db, brows, brat = b._int_form()
-    q, r, s = a.cols, b.rows, b.cols
-    left = [{j * r + k: t for j, t in arow.items()} for arow in arows
-            for k in range(r)]
-    right = [{j * s + l: t for l, t in brow.items()} for j in range(q)
-             for brow in brows]
-    return CMatrix._from_form(q * s, _product(CMatrix, (da, left, arat),
-                                              (db, right, brat)))
+    p, q, r, s = a.rows, a.cols, b.rows, b.cols
+    left = {i * r + k: {j * r + k: t for j, t in arow.items()}
+            for i, arow in arows.items() for k in range(r)}
+    right = {j * r + k: {j * s + l: t for l, t in brow.items()}
+             for j in range(q) for k, brow in brows.items()}
+    return _product(CMatrix._from_form(p * r, q * r, (da, left, arat)),
+                    CMatrix._from_form(q * r, q * s, (db, right, brat)))
 
 
 def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
@@ -606,14 +702,17 @@ def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
         [blk._int_form() for brow in blocks for blk in brow], 2)
     parts = iter(parts)
     offsets = [sum(widths[:c]) for c in range(len(widths))]
-    out = []
+    out = {}
+    top = 0
     for brow in blocks:
-        rows = [{} for _ in range(brow[0].rows)]
         for offset, block_rows in zip(offsets, parts):  # this block row's
-            for row, part in zip(rows, block_rows):
+            for i, part in block_rows.items():
+                row = out.get(top + i)
+                if row is None:
+                    row = out[top + i] = {}
                 row.update((offset + j, t) for j, t in part.items())
-        out += rows
-    return CMatrix._from_form(sum(widths), (den, out, rational))
+        top += brow[0].rows
+    return CMatrix._from_form(top, sum(widths), (den, out, rational))
 
 
 # ---------------------------------------------------------------------------

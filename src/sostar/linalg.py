@@ -21,6 +21,7 @@ hands them over without building an element.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .scalars import ZERO, ExactScalar, _from_ints, _mul4
@@ -205,7 +206,7 @@ def _int_coords(values):
 
 def _primitive(row: dict) -> dict:
     """`row` divided by the gcd of all its int coordinates."""
-    g = math.gcd(*(x for t in row.values() for x in t))
+    g = math.gcd(*chain.from_iterable(row.values()))
     if g > 1:
         row = {j: (a // g, b // g, c // g, d // g)
                for j, (a, b, c, d) in row.items()}
@@ -298,15 +299,16 @@ def congruence_signature(sym) -> tuple[int, int, int]:
         else:
             n_plus += 1
         # Schur complement: only the trailing block is read again.  It is
-        # symmetric, so the rows to update are row k's nonzero columns.
+        # symmetric, so the rows to update are row k's nonzero columns, and
+        # each new value m[i][j] with j > i is mirrored into m[j][i].
         inv = pivot.inverse()
         prow = m[k]
         support = [j for j in range(k + 1, n) if not prow[j].is_zero()]
-        for i in support:
+        for s, i in enumerate(support):
             row = m[i]
             factor = row[k] * inv
-            for j in support:
-                row[j] = row[j] - factor * prow[j]
+            for j in support[s:]:
+                row[j] = m[j][i] = row[j] - factor * prow[j]
     return (n_minus, n_plus, n_zero)
 
 

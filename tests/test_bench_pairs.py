@@ -46,3 +46,17 @@ def test_summaries_of_the_recorded_runs_reproduce_the_record():
         runs = [r for r in record["runs"]
                 if r["workload"] == workload and r["seed"] == int(seed)]
         assert bench_pairs.summarise(runs) == want
+
+
+def test_export_summary_of_known_values():
+    got = bench_pairs.export_summary([1.0314, 1.15, 1.2], [0.9375, 0.95, 1.19],
+                                     "ae1b", "ae1b")
+    assert got["parent_s"] == [1.031, 1.15, 1.2]
+    assert got["change_s"] == [0.938, 0.95, 1.19]
+    assert got["sha256"] == {"parent": "ae1b", "change": "ae1b"}
+    assert got["byte_identical"] is True
+    assert list(got) == list(json.loads(
+        (ROOT / "BENCH_12.json").read_text(encoding="utf-8"))["export"])
+    differ = bench_pairs.export_summary([1.0], [1.0], "ae1b", "60fd")
+    assert differ["byte_identical"] is False
+    assert differ["sha256"] == {"parent": "ae1b", "change": "60fd"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sostar.bases import generic_basis, SP_STAR, SO_STAR
 from sostar.liealg import bracket
@@ -357,7 +357,79 @@ def _kernel_operands(draw, cls):
     return a, b, c
 
 
+def _kernel_examples() -> list:
+    """(a, b, c) as in `_kernel_operands`, written out: non-square operands
+    (2x3 @ 3x1 and 1x3 @ 3x2), zero first and last rows, and a product row
+    whose two terms cancel next to a row that gets a single term.  Each with
+    a rational and an irrational unit u."""
+    out = []
+    for cls, unit in ((HMatrix, Q_J), (CMatrix, C_I)):
+        for scalar in (ExactScalar(1), ExactScalar(1, 1)):  # 1 and 1 + sqrt2
+            u = unit * scalar
+            out += [
+                (cls([[0, 0, 0], [1, u, 2]]), cls([[u], [0], [1]]),
+                 cls([[1, 0, 0], [0, 0, 0]])),
+                (cls([[1, 1, u]]), cls([[u, u], [-u, 0], [0, 0]]),
+                 cls([[1, 1, u]])),
+                (cls([[1, 1], [0, 1]]), cls([[u], [-u]]),
+                 cls([[-1, -1], [0, -1]])),
+            ]
+    return out
+
+
+def _examples(cases):
+    """Run a hypothesis test on each of `cases` as well."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+def _assert_matches(got, want) -> None:
+    """`got`, built by the integer kernel, against the grid-built `want`:
+    shape, entries, hash, zero test and coordinates, and a form that holds
+    no empty row and no index outside the shape."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.entries == want.entries
+    assert got == want and hash(got) == hash(want)
+    assert got.is_zero() == all(e.is_zero() for row in want.entries for e in row)
+    assert got.coords() == _dense_coords(want)
+    rows = got._int_form()[1]
+    assert all(0 <= i < got.rows and row and all(0 <= j < got.cols for j in row)
+               for i, row in rows.items())
+
+
+def _embedded_reference(m: HMatrix) -> CMatrix:
+    """The 2x2 complex block [[t + z i, x i - y], [x i + y, t - z i]] of each
+    entry, on the elements."""
+    def block(q):
+        return ((ExactComplex(q.t, q.z), ExactComplex(-q.y, q.x)),
+                (ExactComplex(q.y, q.x), ExactComplex(q.t, -q.z)))
+    return CMatrix([[e for q in row for e in block(q)[half]]
+                    for row in m.entries for half in (0, 1)])
+
+
+def _assert_reshaped_like_the_entries(m) -> None:
+    """transpose, `_block` slices and embed or kron and from_blocks of m
+    against the same operations on its entries."""
+    cls, grid = type(m), [list(row) for row in m.entries]
+    _assert_matches(m.transpose(), cls([list(col) for col in zip(*grid)]))
+    for r0, c0 in {(0, 0), (m.rows // 2, m.cols // 2), (m.rows - 1, 0)}:
+        for r1, c1 in {(m.rows, m.cols), (r0 + 1, c0 + 1)}:
+            _assert_matches(m._block(r0, r1, c0, c1),
+                            cls([row[c0:c1] for row in grid[r0:r1]]))
+    if cls is HMatrix:
+        _assert_matches(m.embed(), _embedded_reference(m))
+        return
+    _assert_matches(kron(m, m), CMatrix(
+        [[x * y for x in left for y in right] for left in grid for right in grid]))
+    _assert_matches(from_blocks([[m, -m], [m, m]]), CMatrix(
+        [row + [-e for e in row] for row in grid] + [row + row for row in grid]))
+
+
 @settings(deadline=None)
+@_examples(_kernel_examples())
 @given(st.one_of(_kernel_operands(HMatrix), _kernel_operands(CMatrix)))
 def test_integer_kernel_matches_the_elementwise_reference(ops):
     a, b, c = ops
@@ -371,14 +443,15 @@ def test_integer_kernel_matches_the_elementwise_reference(ops):
              (ab @ b.transpose(), _reference_product(ab, b.transpose()))]
     for got, pattern in cases:
         want = _from_pattern(cls, got.cols, pattern)
-        assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got._nonzeros() == tuple(pattern)
-        assert got == want and hash(got) == hash(want)
+        _assert_matches(got, want)
         zero = cls.zeros(got.rows, got.cols)
         assert got.is_zero() == (pattern == [()] * got.rows) == (got == zero)
     for cancelled in ([a - c] if c == a else []) + ([a + c] if c == -a else []):
         assert cancelled.is_zero() and cancelled._nonzeros() == ((),) * a.rows
         assert cancelled == cls.zeros(a.rows, a.cols)
+    for m in (a, b, ab):
+        _assert_reshaped_like_the_entries(m)
 
 
 # -- the integer form handed over, against a dense scan of the entries ---------
@@ -566,6 +639,54 @@ def test_sparse_fills_the_rest_with_zero(cls):
     assert cls.sparse(2, {(0, 1): u}) == cls([[0, u], [0, 0]])
     assert cls.sparse(3, {}) == cls.zeros(3, 3)
     assert cls.sparse(2, {(0, 0): 1, (1, 1): 1}) == cls.identity(2)
+
+
+def _constructor_cases(cls) -> list:
+    """(built by a constructor, the same matrix built from its grid), with
+    rational, irrational and explicitly zero entries."""
+    zero, one, u = _RING[cls]
+    r = u * ExactScalar(Fraction(1, 3), 0, 2)  # (1/3 + 2 sqrt3) u
+    return [
+        (cls.sparse(3, {(0, 1): u, (2, 0): r, (1, 1): 0}),
+         cls([[0, u, 0], [0, 0, 0], [r, 0, 0]])),
+        (cls.sparse(2, {(1, 1): Fraction(1, 2)}), cls([[0, 0], [0, Fraction(1, 2)]])),
+        (cls.sparse(2, {}), cls([[0, 0], [0, 0]])),
+        (cls.diag([r, 0, ExactScalar.sqrt2()]),
+         cls([[r, 0, 0], [0, 0, 0], [0, 0, ExactScalar.sqrt2()]])),
+        (cls.diag([zero]), cls([[0]])),
+        (cls.identity(3), cls([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+        (cls.zeros(2, 3), cls([[0, 0, 0], [0, 0, 0]])),
+    ]
+
+
+@_MATRIX_TYPES
+def test_constructors_build_the_form_of_their_grid(cls):
+    for built, want in _constructor_cases(cls):
+        assert built._grid is None  # no grid of zero elements
+        assert built == want and hash(built) == hash(want)
+        assert (built.rows, built.cols) == (want.rows, want.cols)
+        assert built._int_form() == want._int_form()
+        assert built.coords() == want.coords()
+
+
+@_MATRIX_TYPES
+@pytest.mark.parametrize("build, error", [
+    (lambda cls: cls.sparse(0, {}), ValueError),
+    (lambda cls: cls.diag([]), ValueError),
+    (lambda cls: cls.identity(0), ValueError),
+    (lambda cls: cls.zeros(0, 2), ValueError),
+    (lambda cls: cls.zeros(2, 0), ValueError),
+    (lambda cls: cls.sparse(2, {(0, 0): "1"}), TypeError),
+    (lambda cls: cls.diag([1, 1.5]), TypeError),
+    (lambda cls: cls.sparse(2, {(2, 0): 1}), IndexError),
+    (lambda cls: cls.sparse(2, {(0, -1): 1}), IndexError),
+    (lambda cls: cls.sparse(0, {(0, 0): 1}), IndexError),
+], ids=["sparse-empty", "diag-empty", "identity-empty", "zeros-no-rows",
+        "zeros-no-cols", "sparse-str", "diag-float", "sparse-row-index",
+        "sparse-negative-index", "sparse-empty-with-entry"])
+def test_constructors_reject_empty_shapes_bad_entries_and_indices(cls, build, error):
+    with pytest.raises(error):
+        build(cls)
 
 
 @_MATRIX_TYPES

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sostar.bases import generic_basis, SL_H, SO_STAR, SP_STAR
-from sostar import liealg, linalg, scalars
+from sostar import hmatrix, liealg, linalg, scalars
 from sostar.hmatrix import CMatrix, HMatrix, max_abs_diff
 from sostar.liealg import (COMPLEX_EXACT, LieBasis, StructureTensor,
                            _killing_matrix, _slots, bracket,
@@ -98,6 +98,25 @@ def test_structure_constants_match_solve_batch_on_a_dense_mixed_basis():
             table[pair] = row
     basis = LieBasis("dense", "quaternionic", gens)
     assert structure_constants(basis) == StructureTensor(len(gens), table)
+
+
+def test_structure_constants_split_each_irrational_generator_once(monkeypatch):
+    # each generator enters 2(n - 1) bracket products; its blocks are kept
+    # on the matrix from the first one on
+    gens = _perfbench_workloads().dense_generators(random.Random("dense_mixed/31"), 3, 2)
+    split = []
+    original = hmatrix._blocks
+
+    def counting_blocks(rows, rational, k):
+        split.append(rows)
+        return original(rows, rational, k)
+
+    monkeypatch.setattr(hmatrix, "_blocks", counting_blocks)
+    structure_constants(LieBasis("dense", "quaternionic", gens))
+    irrational = [g for g in gens if not g._int_form()[2]]
+    assert len(irrational) > len(gens) // 2
+    for g in irrational:
+        assert sum(rows is g._int_form()[1] for rows in split) == 1
 
 
 def test_closure_error_names_the_row_that_solve_batch_names(dense_recombination):

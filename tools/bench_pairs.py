@@ -10,20 +10,26 @@ Every run copies those three into a fresh temporary directory and runs
 so no run sees another's files or scratch output.  For each workload and
 seed, pair p runs the parent first when p is even and the change first when
 p is odd.  With --trace-seed, each workload also gets one --trace 1 run per
-side on that seed.
+side on that seed.  Each side then times `sostar export --family sostar --n 8`
+(so*(16)) in three alternating rounds, parent first in the first and third,
+as one process each in a fresh copy of its src/ after one untimed warm-up
+run there.
 
 The JSON written to BENCH_N.json in the current directory holds: what,
-command, protocol, host, summary, runs and trace.  For each workload/seed
-and end-to-end metric, the summary gives both sides' median and quartiles
-over the pairs, the ratio of the medians (change over parent), the parent's
-interquartile range, and the number of pairs in which the change is lower
-and higher.  `runs` and `trace` keep the two JSON lines
-that every run printed.  Only the standard library is used.
+command, protocol, host, summary, export, runs and trace.  For each
+workload/seed and end-to-end metric, the summary gives both sides' median
+and quartiles over the pairs, the ratio of the medians (change over parent),
+the parent's interquartile range, and the number of pairs in which the
+change is lower and higher.  `export` holds both sides' export wall times,
+the sha256 of each side's output and whether the two are byte-identical.
+`runs` and `trace` keep the two JSON lines that every run printed.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -38,6 +44,8 @@ from pathlib import Path
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 COPIED = ("src", "perfbench", "BENCHMARK.json")
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0|1"
+EXPORT_ARGS = ("export", "--family", "sostar", "--n", "8")
+EXPORT_ROUNDS = 3
 
 
 def _round(x: float) -> float:
@@ -112,6 +120,62 @@ def run_once(tree: Path, side: str, workload: str, seed: int, seconds: float,
             "exit": proc.returncode, "started": started, "lines": lines}
 
 
+def export_summary(parent_s: list[float], change_s: list[float],
+                   parent_sha: str, change_sha: str) -> dict:
+    """The export section from both sides' wall times, round by round, and
+    the sha256 of each side's output."""
+    return {
+        "command": (f"sostar {' '.join(EXPORT_ARGS)} (python -m sostar.cli in a "
+                    "fresh copy of src, wall time of the process)"),
+        "protocol": (f"{len(parent_s)} alternating runs per side, parent first "
+                     "in the first and third rounds, after one untimed warm-up "
+                     "run per side"),
+        "parent_s": [round(x, 3) for x in parent_s],
+        "change_s": [round(x, 3) for x in change_s],
+        "sha256": {"parent": parent_sha, "change": change_sha},
+        "byte_identical": parent_sha == change_sha,
+    }
+
+
+def export_once(src: Path) -> tuple[float, str]:
+    """Wall time of one `sostar export` process on the sources `src`, and
+    the sha256 of the file it writes."""
+    with tempfile.TemporaryDirectory(prefix="bench_export_") as tmp:
+        out = Path(tmp) / "export.json"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sostar.cli", *EXPORT_ARGS, "--output", str(out)],
+            cwd=tmp, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        if proc.returncode:
+            raise RuntimeError(f"export on {src} exited {proc.returncode}: "
+                               f"{proc.stderr[-2000:]}")
+        return wall, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def time_export(trees: dict) -> dict:
+    """The export section: each side's src/ copied once, warmed up by one
+    untimed run, then timed in alternating rounds."""
+    times = {side: [] for side in trees}
+    shas = {}
+    with tempfile.TemporaryDirectory(prefix="bench_export_src_") as tmp:
+        srcs = {}
+        for side, tree in trees.items():
+            srcs[side] = Path(tmp) / side / "src"
+            shutil.copytree(tree / "src", srcs[side],
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            export_once(srcs[side])
+        for r in range(EXPORT_ROUNDS):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for side in order:
+                wall, shas[side] = export_once(srcs[side])
+                times[side].append(wall)
+                print(f"export round {r} {side}: {wall:.3f} s", file=sys.stderr)
+    return export_summary(times["parent"], times["change"], shas["parent"],
+                          shas["change"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -148,6 +212,7 @@ def main(argv=None) -> int:
             for side in ("parent", "change"):
                 traces.append(run_once(trees[side], side, workload,
                                        args.trace_seed, args.seconds, 1))
+    export = time_export(trees)
 
     context = runs[0]["lines"][0]["context"]
     doc = {
@@ -163,6 +228,7 @@ def main(argv=None) -> int:
                  "numpy": context["numpy"],
                  "machine": f"{platform.machine()} {platform.system()}"},
         "summary": summary,
+        "export": export,
         "runs": runs,
         "trace": traces,
     }
