@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
-from .scalars import C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _from_ints
+from .scalars import C_I, C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _from_ints
 
 DEFAULT_TOL = 1e-9
 
@@ -649,16 +649,33 @@ class CMatrix(_ExactMatrix):
         return linalg.det_bareiss([list(row) for row in self.entries])
 
     def inverse(self) -> "CMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse: column k is y + i z for the real solution (y, z) of
+        [A | iA](y, z) = e_k on the `_complex_columns`, all n targets in one
+        `linalg._solve`.  Those 2n real columns are dependent exactly when
+        A is singular, which raises ValueError("matrix is singular")."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(row) + list(unit)
-               for row, unit in zip(self.entries, CMatrix.identity(n).entries)]
-        pivots = linalg.rref(aug, ncols=n)
-        if len(pivots) < n:
-            raise ValueError("matrix is singular")
-        return CMatrix([row[n:] for row in aug])
+        units = [(1, {2 * k: (1, 0, 0, 0)}) for k in range(n)]
+        try:
+            sols = linalg._solve(self._complex_columns(), units)
+        except ValueError:
+            raise ValueError("matrix is singular") from None
+        return CMatrix([[ExactComplex(sol.get(r, ZERO), sol.get(n + r, ZERO))
+                         for sol in sols] for r in range(n)])
+
+    def _complex_columns(self) -> list:
+        """The sparse integer vectors of `linalg._eliminate` for the 2m
+        columns of [A | iA], A this matrix, each in the real (re, im) layout
+        of `coords()`.  A x = b is [A | iA](y, z) = b with x = y + i z, and
+        the real rank of [A | iA] is twice the complex rank of A."""
+        real = from_blocks([[self, self.scale(C_I)]]).transpose()
+        den, coords = real._coordinate_ints()
+        vectors = [{} for _ in range(real.rows)]
+        for index, c in coords.items():
+            j, r = divmod(index, 2 * self.rows)  # row j of the transpose
+            vectors[j][r] = c
+        return [(den, vec) for vec in vectors]
 
     def to_numpy(self):
         """The float image as a complex numpy array: the one place where exact

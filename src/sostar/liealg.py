@@ -31,7 +31,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg
-from .hmatrix import CMatrix, HMatrix
+from .hmatrix import CMatrix, HMatrix, from_blocks, kron
 from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints
 
 QUATERNIONIC = "quaternionic"
@@ -75,7 +75,8 @@ class LieBasis:
             f"{name}_{i + 1}" for i in range(len(gens))]
         if len(self.labels) != len(gens):
             raise ValueError("labels/generators length mismatch")
-        if linalg.rank([g.coords() for g in gens]) != len(gens):
+        columns = [g._coordinate_ints() for g in gens]
+        if len(linalg._eliminate(columns)[2]) != len(gens):
             raise ValueError("generators are linearly dependent over the reals")
         self._tensor: StructureTensor | None = None
         self._killing: KillingData | None = None
@@ -308,47 +309,16 @@ def _slots(v: int, shift: int) -> list:
 
 
 def _classify_radical(basis: LieBasis, b) -> tuple[int, int, int]:
-    """Classify Killing-null directions by the defining-representation trace form."""
-    n = len(b)
-    rad = _nullspace_basis(b)
-    minus = plus = zero = 0
-    for vec in rad:
-        elem = None
-        for coeff, gen in zip(vec, basis.generators):
-            if coeff.is_zero():
-                continue
-            if basis.realization == QUATERNIONIC:
-                term = gen.embed().scale(ExactComplex(coeff))
-            else:
-                term = gen.scale(ExactComplex(coeff))
-            elem = term if elem is None else elem + term
-        if elem is None:
-            zero += 1
-            continue
-        t = (elem @ elem).trace().re
-        s = t.sign()
-        if s < 0:
-            minus += 1
-        elif s > 0:
-            plus += 1
-        else:
-            zero += 1
-    return minus, plus, zero
-
-
-def _nullspace_basis(rows) -> list[list[ExactScalar]]:
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots = linalg.rref(work)
-    free = [c for c in range(n) if c not in pivots]
-    basis_vecs = []
-    for fc in free:
-        vec = [ExactScalar(0)] * n
-        vec[fc] = ExactScalar(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis_vecs.append(vec)
-    return basis_vecs
+    """Classify Killing-null directions by the defining-representation trace
+    form: the sign of Tr(E^2) for the element E of each vector of the
+    radical's `linalg.nullspace_basis`, which is never zero."""
+    gens = basis.embedded().generators
+    signs = []
+    for vec in linalg.nullspace_basis(b):
+        terms = [g.scale(ExactComplex(c)) for c, g in zip(vec, gens) if not c.is_zero()]
+        elem = sum(terms[1:], terms[0])
+        signs.append((elem @ elem).trace().re.sign())
+    return signs.count(-1), signs.count(1), signs.count(0)
 
 
 def compact_generator_count(basis: LieBasis) -> int:
@@ -368,7 +338,10 @@ def commutant_dimension(basis: LieBasis) -> int:
     """Complex dimension of {X : [X, g] = 0 for all generators g}.
 
     Requires a complex-exact realization; embed a quaternionic basis first.
-    The stacked commutator system is solved by exact elimination.
+    With X flattened row by row, vec(A X B) = (A (x) B^T) vec(X), so
+    vec([X, g]) = K_g vec(X) for K_g = I (x) g^T - g (x) I, and the commutant
+    is the kernel of the K_g stacked.  Its complex rank is the real rank of
+    the columns c and i c of the stack (`CMatrix._complex_columns`) over 2.
     """
     if basis.realization != COMPLEX_EXACT:
         raise ValueError("commutant requires a complex-exact basis; "
@@ -376,22 +349,10 @@ def commutant_dimension(basis: LieBasis) -> int:
     m = basis.generators[0].rows
     if basis.generators[0].cols != m:
         raise ValueError("commutant requires square generators")
-    rows = []
-    for g in basis.generators:
-        ge = g.entries
-        for r in range(m):
-            for c in range(m):
-                row = []
-                for alpha in range(m):
-                    for beta in range(m):
-                        coeff = ExactComplex(0)
-                        if alpha == r:
-                            coeff = coeff + ge[beta][c]
-                        if beta == c:
-                            coeff = coeff - ge[r][alpha]
-                        row.append(coeff)
-                rows.append(row)
-    return linalg.nullspace_dimension(rows)
+    eye = CMatrix.identity(m)
+    stack = from_blocks([[kron(eye, g.transpose()) - kron(g, eye)]
+                         for g in basis.generators])
+    return m * m - len(linalg._eliminate(stack._complex_columns())[2]) // 2
 
 
 def matrix_exp(m, tol: float = 1e-12):

@@ -1,21 +1,20 @@
-"""Exact dense linear algebra over the package's scalar fields.
+"""Exact linear algebra over the package's scalar fields; nothing here rounds.
 
-`rref`, `rank`, `nullspace_dimension` and `det_bareiss` work generically
-for any field-like entries supporting +, -, *, /, is_zero() (ExactScalar and
-ExactComplex both qualify).  Matrices are plain lists of row lists.  Nothing
-here ever rounds: pivoting picks the first nonzero entry, not the largest.
-`rref` updates the row lists in place and touches only the pivot row's
-nonzero columns, so sparse systems are cheap.  `congruence_signature`
-likewise updates, after each pivot, only the trailing block's rows and
-columns where the pivot row is nonzero.
+Every exact solve, rank and nullspace runs on one elimination kernel,
+`_eliminate`: Gauss-Jordan on sparse vectors of int 4-tuples over
+{1, sqrt2, sqrt3, sqrt6}, fraction-free in the spirit of Bareiss (Galois-
+conjugate pivots, gcd-reduced rows), so no field element is divided until a
+solution is read off.  `_solve`, `solve_batch`, `rank`, `nullspace_basis`,
+the independence check of a `LieBasis`, `commutant_dimension` and
+`CMatrix.inverse` are front ends to it.  A complex column c enters with i*c,
+both in the real (re, im) layout of `coords()`, so a complex rank is half
+the real pivot count.
 
-`solve_batch` takes ExactScalar entries only and solves on integer
-coordinates in `_solve`: each entry is an int 4-tuple over {1, sqrt2, sqrt3,
-sqrt6}, a column at a time over one common denominator, and the elimination
-is fraction-free in the spirit of Bareiss: nothing is divided by a field
-element until the solutions are built.  `_solve` takes and returns sparse
-vectors, so a caller holding integer coordinates (the structure constants)
-hands them over without building an element.
+The generic `rref` on field objects has no caller in the package: it stays
+for the benchmark's hook and as a reference for the tests.  `det_bareiss`
+and `congruence_signature` take plain lists of row lists; the latter
+updates, after each pivot, only the trailing block's rows and columns where
+the pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .scalars import ZERO, ExactScalar, _from_ints, _mul4
+from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints, _mul4
 
 
 def rref(rows: list[list], ncols: int | None = None):
@@ -70,8 +69,33 @@ def rref(rows: list[list], ncols: int | None = None):
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    work = [list(r) for r in rows]
-    return len(rref(work))
+    """Rank of a matrix of ExactScalar or of ExactComplex entries.
+
+    Each row of a real matrix is one vector of `_eliminate`; a complex
+    matrix enters as its `CMatrix._complex_columns`.
+    """
+    if isinstance(next(chain.from_iterable(rows), None), ExactComplex):
+        from .hmatrix import CMatrix  # hmatrix imports this module
+        return len(_eliminate(CMatrix(rows)._complex_columns())[2]) // 2
+    return len(_eliminate([_sparse(v) for v in rows])[2])
+
+
+def nullspace_basis(rows: Sequence[Sequence]) -> list[list[ExactScalar]]:
+    """The reduced row echelon basis of the right kernel of an ExactScalar
+    matrix: per non-pivot column c, the vector that is 1 at c, 0 at the
+    other non-pivot columns and solves the system."""
+    ncols = len(rows[0])
+    dens, reduced, pivots = _eliminate(
+        [_sparse([row[c] for row in rows]) for c in range(ncols)])
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for c, sol in zip(free, _solutions(dens, reduced, pivots, free)):
+        vec = [ZERO] * ncols
+        vec[c] = ExactScalar(1)
+        for col, x in sol.items():
+            vec[col] = -x
+        out.append(vec)
+    return out
 
 
 def solve_batch(columns: list[list], targets: list[list]):
@@ -98,51 +122,69 @@ def _sparse(values) -> tuple:
 def _solve(columns: list, targets: Iterable) -> list:
     """Solve B x = t for each target on integer coordinates.
 
-    Each column and target is a sparse vector (den, {row: (a, b, c, d)}):
-    the vector of the values (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / den, zero
-    at every row it does not name.  `targets` may be any iterable, which is
-    read once, so a caller can hand each target over as soon as it is
-    computed.  Returns per target the sparse solution
-    {column: ExactScalar}, in column order.  Raises ValueError if the
-    columns are linearly dependent or some target is outside their span.
-
-    With the denominators D_c of the columns and D_t of a target, B x = t is
-    the integer system B' y = t' on the numerators, with x_c = y_c D_c / D_t.
-    One Gauss-Jordan pass over the augmented system [columns | targets]
-    serves every target, each row a sparse dict {column: (a, b, c, d)} of
-    Python ints over {1, sqrt2, sqrt3, sqrt6}.  A pivot is made the rational
-    integer N by multiplying its row with the pivot's three nontrivial Galois
-    conjugates; every other row with an entry in that column becomes
-    N*row - f*pivot_row; every row that changes is divided by the gcd of its
-    coordinates.  No row is ever divided by a field element; the solutions
-    are y = row / N.  The reduced row echelon form is unique, so the pivot
-    row is chosen freely: the shortest candidate, to limit fill-in, and the
-    first in row order among those.
+    Columns and targets are vectors as `_eliminate` takes them, and
+    `targets` is read once, so a caller can hand each target over as soon
+    as it is computed.  Returns per target the sparse solution {column:
+    ExactScalar}, in column order.  Raises ValueError if the columns are
+    linearly dependent or some target is outside their span.
     """
     k = len(columns)
-    if k == 0:
-        raise ValueError("empty column set")
-    dens = []  # of the columns, then of the targets
+    dens, rows, pivots = _eliminate(columns, targets)
+    if len(pivots) < k:
+        raise ValueError("columns are linearly dependent")
+    # every column is a pivot column, so a row left over holds only targets
+    pivot_rows = set(pivots.values())
+    for i in sorted(rows):
+        if i not in pivot_rows and rows[i]:
+            j = min(rows[i])
+            raise ValueError(
+                "target outside the span of the columns: target "
+                f"{j - k} leaves the residual {ExactScalar(*rows[i][j])!r} "
+                f"(up to a rational factor) in row {i}")
+    return _solutions(dens, rows, pivots, range(k, len(dens)))
+
+
+def _eliminate(columns: list, targets: Iterable = ()) -> tuple:
+    """Gauss-Jordan elimination of [columns | targets] in its columns: the
+    one elimination behind every exact solve, rank and nullspace.
+
+    A vector is (den, {row: (a, b, c, d)}), the values (a + b*sqrt2 +
+    c*sqrt3 + d*sqrt6) / den, each nonzero, and zero at every row it does
+    not name; `targets` is read once.  Returns (dens, rows, pivots): the
+    denominators of the columns and then of the targets, the reduced rows
+    as sparse dicts {vector: int 4-tuple}, and {column: its pivot row} in
+    column order, skipping a column with no pivot candidate.
+
+    The elimination runs on the numerators; `_solutions` scales back.  A
+    pivot is made the rational integer N by multiplying its row with the
+    pivot's three nontrivial Galois conjugates; every other row with an
+    entry in that column becomes N*row - f*pivot_row; every row that
+    changes is divided by the gcd of its coordinates.  The reduced form is
+    unique up to the scale of its rows, so the pivot row is chosen freely:
+    the shortest candidate, to limit fill-in, the first in row order among
+    those.
+    """
+    k = len(columns)
+    dens = []
     rows: dict = {}
-    for vectors in (columns, targets):
-        for den, vec in vectors:
-            j = len(dens)
-            dens.append(den)
-            for i, x in vec.items():
-                row = rows.get(i)
-                if row is None:
-                    rows[i] = {j: x}
-                else:
-                    row[j] = x
+    for den, vec in chain(columns, targets):
+        j = len(dens)
+        dens.append(den)
+        for i, x in vec.items():
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: x}
+            else:
+                row[j] = x
     free = sorted(rows)  # rows not yet used as a pivot row
-    pivot_rows = []
+    pivots = {}
     for col in range(k):
         candidates = [i for i in free if col in rows[i]]
         if not candidates:
-            raise ValueError("columns are linearly dependent")
+            continue
         p = min(candidates, key=lambda i: len(rows[i]))
         free.remove(p)
-        pivot_rows.append(p)
+        pivots[col] = p
         prow = rows[p]
         a, b, c, d = prow[col]
         if b or c or d:
@@ -177,23 +219,25 @@ def _solve(columns: list, targets: Iterable) -> list:
                         del row[j]
             rows[i] = _primitive(row)
         prow[col] = (n, 0, 0, 0)
-    # every column is a pivot column, so a row left over holds only targets
-    for i in free:
-        if rows[i]:
-            j = min(rows[i])
-            raise ValueError(
-                "target outside the span of the columns: target "
-                f"{j - k} leaves the residual {ExactScalar(*rows[i][j])!r} "
-                f"(up to a rational factor) in row {i}")
-    sols = [{} for _ in dens[k:]]
-    for col, p in enumerate(pivot_rows):
-        n = rows[p][col][0]
+    return dens, rows, pivots
+
+
+def _solutions(dens: list, rows: dict, pivots: dict, wanted) -> list:
+    """Per vector j of `wanted`, the sparse x {pivot column: ExactScalar}
+    with sum_c x_c v_c = v_j, from `_eliminate`'s result; j must lie in the
+    span of the pivot columns.  A pivot row with the pivot N in column c and
+    the entry y in vector j gives x_c = y D_c / (N D_j), so every solution
+    is read in one pass over the pivot rows."""
+    sols = {j: {} for j in wanted}
+    for col, p in pivots.items():
+        row = rows[p]
+        n = row[col][0]
         dc = dens[col]
-        for j, (a, b, c, d) in rows[p].items():
-            if j >= k:
-                sols[j - k][col] = _from_ints(a * dc, b * dc, c * dc, d * dc,
-                                              n * dens[j])
-    return sols
+        for j, (a, b, c, d) in row.items():
+            sol = sols.get(j)
+            if sol is not None:
+                sol[col] = _from_ints(a * dc, b * dc, c * dc, d * dc, n * dens[j])
+    return list(sols.values())
 
 
 def _int_coords(values):
@@ -211,14 +255,6 @@ def _primitive(row: dict) -> dict:
         row = {j: (a // g, b // g, c // g, d // g)
                for j, (a, b, c, d) in row.items()}
     return row
-
-
-def nullspace_dimension(rows: Sequence[Sequence]) -> int:
-    """Dimension of the right kernel of the matrix."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    return ncols - rank(rows)
 
 
 def det_bareiss(matrix: list[list]):

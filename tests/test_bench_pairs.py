@@ -60,3 +60,20 @@ def test_export_summary_of_known_values():
     differ = bench_pairs.export_summary([1.0], [1.0], "ae1b", "60fd")
     assert differ["byte_identical"] is False
     assert differ["sha256"] == {"parent": "ae1b", "change": "60fd"}
+
+
+@pytest.mark.parametrize("bad", [["--pairs", "0"], ["--pairs", "-3"],
+                                 ["--seconds", "0"], ["--seconds", "-1"],
+                                 ["--seconds", "nan"]])
+def test_main_rejects_an_empty_or_timeless_run_before_any_run(bad, monkeypatch,
+                                                              capsys):
+    def run_once(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "time_export", run_once)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--pr", "0",
+                          "--workload", "verify_all", "--seed", "7", *bad])
+    assert exit_info.value.code == 2
+    assert bad[0] in capsys.readouterr().err

@@ -535,7 +535,7 @@ def test_killing_raw_form_vanishes_for_abelian_circle():
 def test_nullspace_basis_of_a_rectangular_matrix(rows, rank):
     m = [[ExactScalar(1) * x for x in row] for row in rows]
     ncols = len(m[0])
-    vecs = liealg._nullspace_basis(m)
+    vecs = linalg.nullspace_basis(m)
     assert len(vecs) == ncols - rank
     for vec in vecs:
         assert len(vec) == ncols

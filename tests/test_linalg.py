@@ -1,6 +1,8 @@
-"""Differential tests of the elimination in `linalg` (the sparse `rref` and
-the integer-coordinate `solve_batch`) against a textbook Gauss-Jordan
-reference that rebuilds every row in full."""
+"""Differential tests of the elimination in `linalg` (the generic `rref` and
+the integer-coordinate kernel behind `solve_batch`, `rank`, `nullspace_basis`,
+`commutant_dimension` and `CMatrix.inverse`) against a textbook Gauss-Jordan
+reference that rebuilds every row in full, negative controls for each front
+end of the kernel, and exact ranks from sympy as an independent oracle."""
 
 import re
 from fractions import Fraction
@@ -10,8 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from sostar import linalg, scalars
 from sostar.bases import SL_H, SO_STAR, generic_basis
-from sostar.liealg import bracket
+from sostar.clifford import verify_sostar8
+from sostar.hmatrix import CMatrix
+from sostar.liealg import (COMPLEX_EXACT, LieBasis, bracket, commutant_dimension,
+                           killing)
 from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar
+from sostar.triality import transformed_spin_reps
 
 # zero, rational, single-radical and dense irrational field elements
 _scalar = st.sampled_from([
@@ -275,3 +281,195 @@ def test_congruence_signature_of_hyperbolic_forms():
     r2 = ExactScalar.sqrt2()
     assert linalg.congruence_signature([[ZERO, r2, ZERO], [r2, ZERO, ZERO],
                                         [ZERO, ZERO, ZERO]]) == (1, 1, 1)
+
+
+# -- the front ends of the one elimination kernel `linalg._eliminate`:
+# `rank`, `nullspace_basis`, the independence check of a LieBasis,
+# `commutant_dimension` and `CMatrix.inverse`
+
+ONE_PLUS_SQRT2 = ExactScalar(1, 1)
+
+
+def _su2():
+    """The fundamental su(2), spanned by i sigma_x / 2, i sigma_y / 2 and
+    i sigma_z / 2 (up to order and sign)."""
+    half = Fraction(1, 2)
+    return LieBasis("su2", COMPLEX_EXACT, [
+        CMatrix([[C_ZERO, ExactComplex(0, half)], [ExactComplex(0, half), C_ZERO]]),
+        CMatrix([[C_ZERO, ExactComplex(-half)], [ExactComplex(half), C_ZERO]]),
+        CMatrix([[ExactComplex(0, half), C_ZERO], [C_ZERO, ExactComplex(0, -half)]]),
+    ])
+
+
+def _su2_half(a_basis):
+    """A_1..A_3 of the embedded so*(4) A-basis: su(2) acting on C^4 as two
+    copies of its fundamental representation."""
+    return LieBasis("su2_half", COMPLEX_EXACT, a_basis.embedded().generators[:3])
+
+
+@pytest.mark.parametrize("realization", ["quaternionic", "complex"])
+def test_basis_with_an_irrational_multiple_of_a_generator_is_dependent(
+        realization, a_basis):
+    basis = a_basis if realization == "quaternionic" else a_basis.embedded()
+    gens = list(basis.generators)
+    gens[4] = gens[1].scale(ONE_PLUS_SQRT2)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        LieBasis("dependent", basis.realization, gens)
+
+
+def _replace_column(rows, dst, src, factor):
+    return [[factor * row[src] if c == dst else x for c, x in enumerate(row)]
+            for row in rows]
+
+
+def test_rank_drops_when_a_column_is_an_irrational_multiple_of_another():
+    real = [[ExactScalar(1), ExactScalar.sqrt2(), ZERO, ExactScalar(Fraction(1, 3))],
+            [ZERO, ExactScalar(1), ExactScalar(0, 0, 1), ExactScalar(2)],
+            [ExactScalar(-1), ZERO, ExactScalar(1, 0, 0, 1), ZERO],
+            [ZERO, ExactScalar(3), ZERO, ExactScalar(0, 1, 1)]]
+    assert linalg.rank(real) == 4
+    assert linalg.rank(_replace_column(real, 3, 1, ONE_PLUS_SQRT2)) == 3
+    i = ExactComplex(0, 1)
+    cplx = [[ExactComplex(x, y) for x, y in zip(row, reversed(row))]
+            for row in real]
+    assert linalg.rank(cplx) == 4
+    for factor in (ExactComplex(ONE_PLUS_SQRT2), i * ONE_PLUS_SQRT2):
+        assert linalg.rank(_replace_column(cplx, 3, 1, factor)) == 3
+    # i times a column is independent of it over R, not over C
+    assert linalg.rank([[x, i * x] for x in (ExactComplex(1, 2), ExactComplex(3))]) == 1
+
+
+def test_commutant_of_the_su2_half_of_sostar4(a_basis):
+    # C^4 is two copies of the fundamental su(2), so by Schur the commutant
+    # is M_2(C); the sl(2,R) half cuts it down to the scalars
+    assert commutant_dimension(_su2_half(a_basis)) == 4
+    assert commutant_dimension(a_basis.embedded()) == 1
+
+
+def test_inverse_of_a_singular_matrix_raises():
+    first = [ExactComplex(1, 2), ExactComplex(0, -1), ExactComplex(ExactScalar.sqrt3())]
+    factor = ExactComplex(0, 1) * ONE_PLUS_SQRT2
+    third = [ExactComplex(0, 1), ExactComplex(1), ExactComplex(-1)]
+    m = CMatrix([first, [factor * x for x in first], third])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        m.inverse()
+    with pytest.raises(ValueError, match="matrix is singular"):
+        CMatrix.zeros(2, 2).inverse()
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_nullspace_basis_matches_reference(data):
+    rows = data.draw(_matrices("real"))
+    n = len(rows[0])
+    pivots, reduced = _reference_rref(rows)
+    want = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [ZERO] * n
+        vec[fc] = ExactScalar(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        want.append(vec)
+    got = linalg.nullspace_basis(rows)
+    assert len(got) == n - len(pivots)
+    for vec in got:
+        assert all(sum((a * x for a, x in zip(row, vec)), ZERO).is_zero()
+                   for row in rows)
+    assert got == want
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_inverse_matches_reference(data):
+    n = data.draw(st.integers(1, 4))
+    entry = st.builds(ExactComplex, _scalar, _scalar)
+    if data.draw(st.booleans()):
+        entry = st.one_of(st.just(C_ZERO), entry)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    unit = [[ExactComplex(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots, reduced = _reference_rref([r + u for r, u in zip(rows, unit)], n)
+    m = CMatrix(rows)
+    if len(pivots) < n:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert [list(r) for r in inv.entries] == [r[n:] for r in reduced]
+        assert m @ inv == CMatrix.identity(n)
+
+
+def test_nothing_in_the_package_calls_rref(monkeypatch, a_basis):
+    def rref(*args, **kwargs):
+        raise AssertionError("linalg.rref was called")
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    basis = LieBasis("sostar4_A", "quaternionic", a_basis.generators)
+    assert killing(generic_basis(SO_STAR, 1)).signature == (1, 0, 0)
+    assert commutant_dimension(basis.embedded()) == 1
+    transformed_spin_reps()
+    report = verify_sostar8()
+    assert report.passed, report.failures()
+
+
+# -- an independent oracle: exact ranks over Q(sqrt2, sqrt3, i) in sympy
+
+@pytest.fixture(scope="module")
+def oracle_field():
+    """The number field Q(sqrt2, sqrt3, i) of sympy's DomainMatrix and a
+    converter of ExactScalar/ExactComplex values into it."""
+    from sympy import I, QQ, Rational, sqrt
+    field = QQ.algebraic_field(sqrt(2), sqrt(3), I)
+    r2, r3, i = (field.from_sympy(x) for x in (sqrt(2), sqrt(3), I))
+    basis = (field.one, r2, r3, r2 * r3)
+    cache = {}
+
+    def real(s):
+        coords = (s.a, s.b, s.c, s.d)
+        return sum((field.from_sympy(Rational(q.numerator, q.denominator)) * u
+                    for q, u in zip(coords, basis) if q), field.zero)
+
+    def convert(x):
+        if x not in cache:
+            cache[x] = (real(x.re) + i * real(x.im) if isinstance(x, ExactComplex)
+                        else real(x))
+        return cache[x]
+    return field, convert
+
+
+def _oracle_rank(oracle_field, rows):
+    from sympy.polys.matrices import DomainMatrix
+    field, convert = oracle_field
+    return DomainMatrix([[convert(x) for x in row] for row in rows],
+                        (len(rows), len(rows[0])), field).rank()
+
+
+def _commutant_system(basis):
+    """The rows of [X, g] = 0 in the unknowns X[alpha][beta], entry by entry:
+    [X, g]_rc = sum_beta X_r,beta g_beta,c - sum_alpha g_r,alpha X_alpha,c."""
+    m = basis.generators[0].rows
+    rows = []
+    for g in basis.generators:
+        ge = g.entries
+        for r in range(m):
+            for c in range(m):
+                rows.append([(ge[beta][c] if alpha == r else C_ZERO)
+                             - (ge[r][alpha] if beta == c else C_ZERO)
+                             for alpha in range(m) for beta in range(m)])
+    return rows
+
+
+def test_commutant_dimensions_match_the_oracle(oracle_field, a_basis, s_basis):
+    for basis, want in ((a_basis.embedded(), 1), (_su2_half(a_basis), 4),
+                        (s_basis, 2), (_su2(), 1)):
+        m = basis.generators[0].rows
+        rows = _commutant_system(basis)
+        nullity = m * m - _oracle_rank(oracle_field, rows)
+        assert commutant_dimension(basis) == nullity == want, basis.name
+        assert linalg.rank(rows) == m * m - want
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_complex_rank_matches_the_oracle(oracle_field, data):
+    rows = data.draw(_matrices("complex"))
+    assert linalg.rank(rows) == _oracle_rank(oracle_field, rows)

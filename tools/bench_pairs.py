@@ -188,6 +188,10 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not args.seconds > 0:
+        parser.error(f"--seconds must be positive, got {args.seconds:g}")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         missing = [name for name in COPIED if not (tree / name).exists()]
