@@ -174,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
     p_export.add_argument("--n", type=int, default=None)
     p_export.add_argument("--p", type=int, default=None)
     p_export.add_argument("--q", type=int, default=None)
-    p_export.add_argument("--format", default="json", choices=("json",))
     p_export.add_argument("--output", default=None, metavar="PATH")
 
     args = parser.parse_args(argv)

@@ -132,12 +132,6 @@ def _blocks(m: CMatrix) -> list:
     return [m._block(r, r + 8, c, c + 8) for r in (0, 8) for c in (0, 8)]
 
 
-def standard_quaternionic_structure() -> CMatrix:
-    """J = diag(eps, eps, eps, eps) with eps the 2x2 rotation by a quarter turn;
-    satisfies J J* = -I and is the embedded image of j*I_4."""
-    return embedded_quaternionic_structure(4)
-
-
 def check_sostar8_structure(rep: str, spin: SpinBasisSet | None = None) -> VerificationReport:
     """Exact structure checks identifying a chiral block with so*(8).
 
@@ -151,7 +145,7 @@ def check_sostar8_structure(rep: str, spin: SpinBasisSet | None = None) -> Verif
         spin = spin26_generators()
     gens = spin.L if rep == "L" else spin.R
     rep_report = VerificationReport(claim_id=f"sostar8_structure_{rep}")
-    j = standard_quaternionic_structure()
+    j = embedded_quaternionic_structure(4)
     jj = j @ j.conj()
     rep_report.check("J J* = -I", (jj + CMatrix.identity(8)).is_zero())
     j_inv = -j.conj()

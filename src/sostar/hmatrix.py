@@ -4,14 +4,14 @@ for the quaternionic matrix groups.
 Both matrix types share one exact, immutable base and differ only in their
 entry type: HMatrix entries are exact quaternions, CMatrix entries exact
 complex numbers (the 2x2 embedding of an HMatrix is a CMatrix).  Neither ever
-rounds.  Every operation computes on an integer form of the matrix (one
-common denominator and the int numerators of the nonzero entries), which is
-the integral-vector form of ExactScalar (Cohen, A Course in Computational
-Algebraic Number Theory, section 4.2) applied to the whole matrix, and builds
-no element for an intermediate result.  Float matrices, which only
-exponentials produce, are complex numpy arrays: `CMatrix.to_numpy` is the one
-crossing from exact to float, and every float comparison takes an explicit
-tolerance, finite and nonnegative.
+rounds.  A matrix's one state is its integer form (one common denominator
+and the int numerators of the nonzero entries), the integral-vector form of
+ExactScalar (Cohen, A Course in Computational Algebraic Number Theory,
+section 4.2) applied to the whole matrix.  Every operation and every exact
+predicate computes on it; elements are built only when they are read.  Float
+matrices, which only exponentials produce, are complex numpy arrays:
+`CMatrix.to_numpy` is the one crossing from exact to float, and only float
+comparisons take a tolerance, explicit, finite and nonnegative.
 
 Conventions:
 
@@ -28,7 +28,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -185,8 +184,8 @@ def _product(a, b):
     one.  An irrational product reads both operands' blocks, which each
     matrix splits once and keeps."""
     cls = type(a)
-    dx, left, xrat = a._int_form()
-    dy, right, yrat = b._int_form()
+    dx, left, xrat = a._ints
+    dy, right, yrat = b._ints
     if xrat and yrat:
         rows = _rational_rows(left, right, cls._ring_mul)
     else:
@@ -270,15 +269,14 @@ class _ExactMatrix:
     integer form (the complex or the Hamilton product table); the
     ring-specific operations live on the subclass.
 
-    A matrix holds its shape (`rows`, `cols`) and its value in one or both of
-    two forms, and builds the other from it the first time it is read: the
-    grid `entries` of elements, which the public constructor takes, and the
-    integer form described above, which holds only the nonempty rows and
-    which every operation computes on and hands to the trusted constructor
-    `_from_form`.  The result of an operation therefore holds no element
-    until its entries or coordinates are read, and each element is then
-    reduced to lowest terms.  `sparse`, `diag`, `identity` and `zeros` build
-    the integer form straight from their nonzero inputs and hold no grid.
+    A matrix holds its shape (`rows`, `cols`) and its value, the integer form
+    described above, and nothing else: every operation computes on the form
+    and hands its result to the trusted constructor `_from_form`, and the
+    public constructor and `sparse`, `diag`, `identity` and `zeros` turn
+    their elements into a form at once.  Elements exist only when they are
+    read: `entries` builds the grid from the form on each read, through
+    `_entry_of`, and each element is reduced to lowest terms.  Equality and
+    the zero test compare forms, so they build no element.
 
     A third slot keeps the blocked view of the integer form (`_blocks`), the
     operand layout of an irrational product.  It is split on the first
@@ -286,7 +284,7 @@ class _ExactMatrix:
     so a generator that meets every other one in brackets is split once.
     """
 
-    __slots__ = ("rows", "cols", "_grid", "_ints", "_blocked")
+    __slots__ = ("rows", "cols", "_ints", "_blocked")
 
     _entry: type
     _zero: object
@@ -302,10 +300,11 @@ class _ExactMatrix:
         width = len(grid[0])
         if any(len(r) != width for r in grid):
             raise ValueError("ragged rows")
-        _set_grid(self, grid)
         _set_rows(self, len(grid))
         _set_cols(self, width)
-        _set_ints(self, None)
+        _set_ints(self, _form(self._entry._parts, (((i, j), e)
+                                                   for i, row in enumerate(grid)
+                                                   for j, e in enumerate(row))))
         _set_blocked(self, None)
 
     @classmethod
@@ -314,68 +313,43 @@ class _ExactMatrix:
         hold only nonzero entries and which has no empty row.  Trusted:
         nothing is checked."""
         m = object.__new__(cls)
-        _set_grid(m, None)
         _set_rows(m, rows)
         _set_cols(m, cols)
         _set_ints(m, form)
         _set_blocked(m, None)
         return m
 
-    def _int_form(self) -> tuple:
-        """The integer form (den, rows, rational), computed from the entries
-        on first use: den is the lcm of all coordinate denominators."""
-        form = self._ints
-        if form is None:
-            form = _form(self._entry._parts, (((i, j), e)
-                                              for i, row in enumerate(self._grid)
-                                              for j, e in enumerate(row)))
-            _set_ints(self, form)
-        return form
-
     def _blocked_rows(self) -> dict:
         """The rows of the integer form split into blocks by `_blocks`,
         computed on first use and kept."""
         blocked = self._blocked
         if blocked is None:
-            _, rows, rational = self._int_form()
+            _, rows, rational = self._ints
             blocked = _blocks(rows, rational, len(self._entry._fields))
             _set_blocked(self, blocked)
         return blocked
 
     def _entry_of(self, t: tuple, den: int, rational: bool):
-        """The element with the ints `t` of a form over `den`."""
+        """The element with the ints `t` of a form over `den`: the one place
+        where a form becomes elements."""
         if rational:
             return self._entry(*(_scalar(x, 0, 0, 0, den) for x in t))
         k = len(self._entry._fields)
         return self._entry(*(_scalar(*t[p::k], den) for p in range(k)))
 
-    def _nonzeros(self) -> tuple:
-        """Per row, the tuple of (column, entry) pairs of its nonzero
-        entries, in column order."""
-        if self._grid is not None:
-            return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
-                         for row in self._grid)
-        den, rows, rational = self._ints
-        empty = {}
-        return tuple(tuple((j, self._entry_of(row[j], den, rational))
-                           for j in sorted(row))
-                     for row in (rows.get(i, empty) for i in range(self.rows)))
-
     @property
     def entries(self) -> tuple:
-        """The rows of elements, as a tuple of row tuples."""
-        grid = self._grid
-        if grid is None:
-            zero, cols = self._zero, self.cols
-            grid = []
-            for pairs in self._nonzeros():
-                row = [zero] * cols
-                for j, e in pairs:
-                    row[j] = e
-                grid.append(tuple(row))
-            grid = tuple(grid)
-            _set_grid(self, grid)
-        return grid
+        """The rows of elements, as a tuple of row tuples, built from the
+        integer form on each read."""
+        den, rows, rational = self._ints
+        zero, cols, empty = self._zero, self.cols, {}
+        grid = []
+        for i in range(self.rows):
+            row = [zero] * cols
+            for j, t in rows.get(i, empty).items():
+                row[j] = self._entry_of(t, den, rational)
+            grid.append(tuple(row))
+        return tuple(grid)
 
     def _like(self, form: tuple):
         return self._from_form(self.rows, self.cols, form)
@@ -385,7 +359,7 @@ class _ExactMatrix:
         product of e times the identity with this matrix.  The identity
         keeps e only in the rows where this matrix has an entry."""
         den, scalar, rational = _form(self._entry._parts, [((0, 0), e)])
-        rows = self._int_form()[1]
+        rows = self._ints[1]
         t = scalar[0][0] if scalar else None
         diag = {} if t is None else {i: {i: t} for i in rows}
         return _product(self._from_form(self.rows, self.rows, (den, diag, rational)),
@@ -437,7 +411,7 @@ class _ExactMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return self._like(_merge(self._int_form(), other._int_form(), op,
+        return self._like(_merge(self._ints, other._ints, op,
                                  len(self._entry._fields)))
 
     def __add__(self, other):
@@ -447,12 +421,12 @@ class _ExactMatrix:
         return self._merged(other, sub)
 
     def __neg__(self):
-        return self._like(_signed(self._int_form(),
+        return self._like(_signed(self._ints,
                                   (-1,) * len(self._entry._fields)))
 
     def transpose(self):
         """Plain transpose.  Not a homomorphism over the quaternions."""
-        den, rows, rational = self._int_form()
+        den, rows, rational = self._ints
         columns = {}
         for i, row in rows.items():
             for j, t in row.items():
@@ -466,7 +440,7 @@ class _ExactMatrix:
     def _block(self, r0: int, r1: int, c0: int, c1: int):
         """The submatrix of rows r0..r1-1 and columns c0..c1-1, sliced from
         the integer form; it keeps this matrix's denominator."""
-        den, rows, rational = self._int_form()
+        den, rows, rational = self._ints
         out = {}
         for i in range(r0, r1):
             row = rows.get(i)
@@ -477,21 +451,24 @@ class _ExactMatrix:
         return self._from_form(r1 - r0, c1 - c0, (den, out, rational))
 
     def trace(self):
+        """The sum of the diagonal, summed on the integer form: one element
+        is built."""
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        acc = self._zero
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        den, rows, rational = self._ints
+        diagonal = [row[i] for i, row in rows.items() if i in row]
+        if not diagonal:
+            return self._zero
+        return self._entry_of(tuple(map(sum, zip(*diagonal))), den, rational)
 
     def is_zero(self) -> bool:
-        return not self._int_form()[1]
+        return not self._ints[1]
 
     def _coordinate_ints(self) -> tuple:
         """(den, {index: int 4-tuple}): the nonzero real coordinates, indexed
         as in `coords()`, each as its numerators over {1, sqrt2, sqrt3,
         sqrt6} over the common denominator den of the integer form."""
-        den, rows, rational = self._int_form()
+        den, rows, rational = self._ints
         k = len(self._entry._fields)
         width = self.cols * k
         out = {}
@@ -520,9 +497,12 @@ class _ExactMatrix:
     # -- value semantics and serialization -------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal shapes and a zero difference, on the integer forms: two
+        forms of one value may differ in denominator and layout."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.entries == other.entries
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and (self - other).is_zero())
 
     def __hash__(self):
         return hash(self.entries)
@@ -541,7 +521,6 @@ class _ExactMatrix:
         return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
-_set_grid = _ExactMatrix._grid.__set__
 _set_rows = _ExactMatrix.rows.__set__
 _set_cols = _ExactMatrix.cols.__set__
 _set_ints = _ExactMatrix._ints.__set__
@@ -568,10 +547,10 @@ class HMatrix(_ExactMatrix):
     # -- involutions ---------------------------------------------------------
 
     def conj_entries(self) -> "HMatrix":
-        return self._like(_signed(self._int_form(), (1, -1, -1, -1)))
+        return self._like(_signed(self._ints, (1, -1, -1, -1)))
 
     def rev_entries(self) -> "HMatrix":
-        return self._like(_signed(self._int_form(), (1, 1, -1, 1)))
+        return self._like(_signed(self._ints, (1, 1, -1, 1)))
 
     def rev_transpose(self) -> "HMatrix":
         """Entry-wise reversion followed by transposition (anti-homomorphism)."""
@@ -590,7 +569,7 @@ class HMatrix(_ExactMatrix):
         Multiplicative homomorphism M_n(H) -> M_2n(C); dagger maps to the
         complex conjugate-transpose and rev_transpose to the plain transpose.
         """
-        den, rows, rational = self._int_form()
+        den, rows, rational = self._ints
         out = {}
         for i, row in rows.items():
             top, bottom = {}, {}
@@ -638,7 +617,7 @@ class CMatrix(_ExactMatrix):
         return self._left_scaled(ExactComplex.coerce(s))
 
     def conj(self) -> "CMatrix":
-        return self._like(_signed(self._int_form(), (1, -1)))
+        return self._like(_signed(self._ints, (1, -1)))
 
     def dagger(self) -> "CMatrix":
         return self.conj().transpose()
@@ -690,8 +669,8 @@ def kron(a: CMatrix, b: CMatrix) -> CMatrix:
     (A (x) I_r)(I_q (x) B) of two integer forms that only place the entries
     of A and B, for A p x q and B r x s: each entry of the result is one
     product a_ij b_kl, so no row of it is scanned for zeros."""
-    da, arows, arat = a._int_form()
-    db, brows, brat = b._int_form()
+    da, arows, arat = a._ints
+    db, brows, brat = b._ints
     p, q, r, s = a.rows, a.cols, b.rows, b.cols
     left = {i * r + k: {j * r + k: t for j, t in arow.items()}
             for i, arow in arows.items() for k in range(r)}
@@ -716,7 +695,7 @@ def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
     if not widths:
         raise ValueError("CMatrix cannot be empty")
     den, parts, rational = _common(
-        [blk._int_form() for brow in blocks for blk in brow], 2)
+        [blk._ints for brow in blocks for blk in brow], 2)
     parts = iter(parts)
     offsets = [sum(widths[:c]) for c in range(len(widths))]
     out = {}
@@ -749,34 +728,18 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
-def _abs_le(x: ExactScalar, tol: float) -> bool:
-    return abs(x) <= ExactScalar(Fraction(tol))
-
-
-def _quat_within(qv: Quaternion, tol: float) -> bool:
-    return (_abs_le(qv.t, tol) and _abs_le(qv.x, tol) and
-            _abs_le(qv.y, tol) and _abs_le(qv.z, tol))
-
-
-def _hmatrix_within(m: HMatrix, tol: float) -> bool:
-    return all(_quat_within(e, tol) for row in m.entries for e in row)
-
-
-def is_sostar_group(o: HMatrix, tol: float = DEFAULT_TOL) -> bool:
+def is_sostar_group(o: HMatrix) -> bool:
     """Membership in SO*(2n): rev_transpose(O) @ O = I and Study det 1.
 
-    Input is exact; the tolerance bounds the exact deviations, so tol=0 asks
-    for literal membership.  Float group elements produced by exponentials are
-    checked in embedded form by `is_sostar_group_embedded`.
+    Both are exact identities with no tolerance: the first is `==` on the
+    integer forms, the second exact Bareiss elimination.  Float group
+    elements produced by exponentials are checked in embedded form by
+    `is_sostar_group_embedded`.
     """
-    _check_tol(tol)
     if o.rows != o.cols:
         raise ValueError("group membership requires a square matrix")
-    resid = o.rev_transpose() @ o - HMatrix.identity(o.rows)
-    if not _hmatrix_within(resid, tol):
-        return False
-    det = o.study_det()
-    return _abs_le(det.re - ExactScalar(1), tol) and _abs_le(det.im, tol)
+    return (o.rev_transpose() @ o == HMatrix.identity(o.rows)
+            and o.study_det() == C_ONE)
 
 
 def is_sostar_algebra(a: HMatrix) -> bool:
@@ -787,28 +750,22 @@ def is_sostar_algebra(a: HMatrix) -> bool:
     return (a.rev_transpose() + a).is_zero()
 
 
-def is_spstar_group(a: HMatrix, p: int, q: int, tol: float = DEFAULT_TOL) -> bool:
+def is_spstar_group(a: HMatrix, p: int, q: int) -> bool:
     """Membership in Sp*(p,q): preserves the quaternion-Hermitian form I_pq.
 
     Also checks the equivalent characterization through the skew reversion
-    form j*I_pq, and unit Study determinant.
+    form j*I_pq, and unit Study determinant.  All three are exact identities
+    with no tolerance, as in `is_sostar_group`.
     """
-    _check_tol(tol)
     if a.rows != a.cols:
         raise ValueError("group membership requires a square matrix")
-    n = a.rows
-    if p + q != n:
+    if p + q != a.rows:
         raise ValueError("p + q must equal the matrix size")
     form = i_pq(p, q)
-    resid = a.dagger() @ form @ a - form
-    if not _hmatrix_within(resid, tol):
-        return False
     jform = form.left_mul(Q_J)
-    resid2 = a.rev_transpose() @ jform @ a - jform
-    if not _hmatrix_within(resid2, tol):
-        return False
-    det = a.study_det()
-    return _abs_le(det.re - ExactScalar(1), tol) and _abs_le(det.im, tol)
+    return (a.dagger() @ form @ a == form
+            and a.rev_transpose() @ jform @ a == jform
+            and a.study_det() == C_ONE)
 
 
 def is_spstar_algebra(a: HMatrix, p: int, q: int) -> bool:

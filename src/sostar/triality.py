@@ -137,10 +137,11 @@ def apply_triality(quartets: TrialityQuartets, rep: SpinRep) -> SpinRep:
 
     def mix(matrix: CMatrix, positions: list) -> None:
         vec = [rep.generators[p] for p in positions]
+        grid = matrix.entries
         for r, pos in enumerate(positions):
             acc = None
             for c in range(4):
-                coeff = matrix.entries[r][c]
+                coeff = grid[r][c]
                 if signs[r] * signs[c] < 0:
                     coeff = -coeff
                 term = vec[c].scale(coeff)
@@ -158,7 +159,7 @@ def signature_form_26() -> CMatrix:
 
 
 def is_real_matrix(m: CMatrix) -> bool:
-    return all(e.im.is_zero() for row in m.entries for e in row)
+    return m.conj() == m
 
 
 def respects_i26_antisymmetry(m: CMatrix) -> bool:
@@ -218,9 +219,10 @@ def verify_triality(spin: SpinBasisSet | None = None) -> VerificationReport:
                       for m in vector.generators.values()))
     support_ok = True
     for (i, j), m in vector.generators.items():
+        grid = m.entries
         for r in range(8):
             for c in range(8):
-                e = m.entries[r][c]
+                e = grid[r][c]
                 if (r, c) in ((i, j), (j, i)):
                     if (r, c) == (i, j) and e != ExactComplex(VECTOR_SIGNS[(i, j)]):
                         support_ok = False

@@ -62,11 +62,8 @@ def test_export_summary_of_known_values():
     assert differ["sha256"] == {"parent": "ae1b", "change": "60fd"}
 
 
-@pytest.mark.parametrize("bad", [["--pairs", "0"], ["--pairs", "-3"],
-                                 ["--seconds", "0"], ["--seconds", "-1"],
-                                 ["--seconds", "nan"]])
-def test_main_rejects_an_empty_or_timeless_run_before_any_run(bad, monkeypatch,
-                                                              capsys):
+def _exit_before_any_run(monkeypatch, args) -> int:
+    """The exit code of `main(args)`, which must stop before any run."""
     def run_once(*args):
         raise AssertionError("a benchmark run started")
 
@@ -74,6 +71,29 @@ def test_main_rejects_an_empty_or_timeless_run_before_any_run(bad, monkeypatch,
     monkeypatch.setattr(bench_pairs, "time_export", run_once)
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--pr", "0",
-                          "--workload", "verify_all", "--seed", "7", *bad])
-    assert exit_info.value.code == 2
+                          *args])
+    return exit_info.value.code
+
+
+@pytest.mark.parametrize("bad", [["--pairs", "0"], ["--pairs", "-3"],
+                                 ["--seconds", "0"], ["--seconds", "-1"],
+                                 ["--seconds", "nan"]])
+def test_main_rejects_an_empty_or_timeless_run_before_any_run(bad, monkeypatch,
+                                                              capsys):
+    args = ["--workload", "verify_all", "--seed", "7", *bad]
+    assert _exit_before_any_run(monkeypatch, args) == 2
     assert bad[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workloads, seeds, message", [
+    (["verify_al"], ["7"], "no workload verify_al "),
+    (["verify_all", "dense_mix"], ["7"], "no workload dense_mix "),
+    (["verify_all", "verify_all"], ["7"], "--workload repeats"),
+    (["verify_all", "dense_mixed"], ["7", "31", "7"], "--seed repeats"),
+], ids=["misspelt", "misspelt-second", "repeated-workload", "repeated-seed"])
+def test_main_rejects_unknown_or_repeated_workloads_and_seeds_before_any_run(
+        workloads, seeds, message, monkeypatch, capsys):
+    args = [arg for w in workloads for arg in ("--workload", w)]
+    args += [arg for s in seeds for arg in ("--seed", s)]
+    assert _exit_before_any_run(monkeypatch, args) == 2
+    assert message in capsys.readouterr().err

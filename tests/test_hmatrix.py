@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sostar.bases import generic_basis, SP_STAR, SO_STAR
 from sostar.liealg import bracket
-from sostar.hmatrix import (CMatrix, HMatrix, embedded_quaternionic_structure,
+from sostar.hmatrix import (CMatrix, HMatrix, _ExactMatrix,
+                            embedded_quaternionic_structure,
                             from_blocks, i_pq, is_sostar_algebra, is_sostar_group,
                             is_sostar_group_embedded, is_spstar_algebra,
                             is_spstar_group, is_su_group_embedded, max_abs_diff,
@@ -284,14 +285,44 @@ def test_product_with_a_zero_factor_is_zero():
 
 # -- the integer kernel against the element-wise reference ---------------------
 
+def _dense_pattern(m):
+    """Per row, the (column, element) pairs of the nonzero `entries`."""
+    return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
+                 for row in m.entries)
+
+
+def _form_pattern(m):
+    """Per row, the (column, element) pairs that the integer form holds, in
+    column order."""
+    den, rows, rational = m._ints
+    return tuple(tuple((j, m._entry_of(row[j], den, rational)) for j in sorted(row))
+                 for row in (rows.get(i, {}) for i in range(m.rows)))
+
+
+def _built_elements(build):
+    """build() and the number of elements built from an integer form
+    meanwhile, counted at `_ExactMatrix._entry_of`."""
+    calls = []
+    original = _ExactMatrix._entry_of
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ExactMatrix, "_entry_of", counting)
+        result = build()
+    return result, len(calls)
+
+
 def _reference_product(left, right) -> list[tuple]:
     """Nonzero pattern of left @ right, row by row (Gustavson's row-wise
     product) on the elements: each nonzero left[i][k] meets only the
     nonzeros of row k of `right`.  Only the accumulated entries are tested
     for zero, so terms that cancel leave no entry behind."""
-    right_rows = right._nonzeros()
+    right_rows = _dense_pattern(right)
     out = []
-    for left_row in left._nonzeros():
+    for left_row in _dense_pattern(left):
         acc = {}
         for k, a in left_row:
             for j, b in right_rows[k]:
@@ -306,7 +337,7 @@ def _reference_merge(left, right, op) -> list[tuple]:
     merging the two nonzero patterns row by row on the elements."""
     zero = left._zero
     out = []
-    for left_row, right_row in zip(left._nonzeros(), right._nonzeros()):
+    for left_row, right_row in zip(_dense_pattern(left), _dense_pattern(right)):
         if right_row:
             acc = dict(left_row)
             for j, b in right_row:
@@ -337,22 +368,26 @@ _KINDS = {"rational": st.builds(ExactScalar, _fraction),
 
 
 @st.composite
+def _matrix(draw, cls, rows, cols, kind=None):
+    """A rows x cols matrix of type cls, sparse or dense, with rational or
+    irrational coordinates (drawn, unless `kind` names one)."""
+    scalar = _KINDS[kind or draw(st.sampled_from(sorted(_KINDS)))]
+    entry = (st.builds(Quaternion, scalar, scalar, scalar, scalar)
+             if cls is HMatrix else st.builds(ExactComplex, scalar, scalar))
+    if draw(st.booleans()):  # sparse: about half the entries vanish
+        entry = st.one_of(st.just(cls._zero), entry)
+    return cls([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
 def _kernel_operands(draw, cls):
     """(a, b, c): a @ b is defined and c has the shape of a.  Each has
     rational or irrational coordinates and is sparse or dense; c may be a
     itself or its negation, so that a - c or a + c cancels."""
-    def matrix(n, m):
-        scalar = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
-        entry = (st.builds(Quaternion, scalar, scalar, scalar, scalar)
-                 if cls is HMatrix else st.builds(ExactComplex, scalar, scalar))
-        if draw(st.booleans()):  # sparse: about half the entries vanish
-            entry = st.one_of(st.just(cls._zero), entry)
-        return cls([[draw(entry) for _ in range(m)] for _ in range(n)])
-
     rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
-    a, b = matrix(rows, inner), matrix(inner, cols)
+    a, b = draw(_matrix(cls, rows, inner)), draw(_matrix(cls, inner, cols))
     c = draw(st.sampled_from([
-        lambda: matrix(rows, inner), lambda: a,
+        lambda: draw(_matrix(cls, rows, inner)), lambda: a,
         lambda: cls([[-e for e in row] for row in a.entries])]))()
     return a, b, c
 
@@ -395,7 +430,7 @@ def _assert_matches(got, want) -> None:
     assert got == want and hash(got) == hash(want)
     assert got.is_zero() == all(e.is_zero() for row in want.entries for e in row)
     assert got.coords() == _dense_coords(want)
-    rows = got._int_form()[1]
+    rows = got._ints[1]
     assert all(0 <= i < got.rows and row and all(0 <= j < got.cols for j in row)
                for i, row in rows.items())
 
@@ -443,23 +478,18 @@ def test_integer_kernel_matches_the_elementwise_reference(ops):
              (ab @ b.transpose(), _reference_product(ab, b.transpose()))]
     for got, pattern in cases:
         want = _from_pattern(cls, got.cols, pattern)
-        assert got._nonzeros() == tuple(pattern)
+        assert _form_pattern(got) == tuple(pattern)
         _assert_matches(got, want)
         zero = cls.zeros(got.rows, got.cols)
         assert got.is_zero() == (pattern == [()] * got.rows) == (got == zero)
     for cancelled in ([a - c] if c == a else []) + ([a + c] if c == -a else []):
-        assert cancelled.is_zero() and cancelled._nonzeros() == ((),) * a.rows
+        assert cancelled.is_zero() and _form_pattern(cancelled) == ((),) * a.rows
         assert cancelled == cls.zeros(a.rows, a.cols)
     for m in (a, b, ab):
         _assert_reshaped_like_the_entries(m)
 
 
 # -- the integer form handed over, against a dense scan of the entries ---------
-
-def _dense_pattern(m):
-    return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero())
-                 for row in m.entries)
-
 
 def _dense_coords(m):
     parts = (lambda q: (q.t, q.x, q.y, q.z)) if isinstance(m, HMatrix) else (
@@ -485,12 +515,13 @@ def _operation_results(a, b):
 @settings(deadline=None)
 @given(st.one_of(_product_operands(HMatrix), _product_operands(CMatrix)))
 def test_operations_hand_over_the_dense_pattern(pair):
-    for m in _operation_results(*pair):
-        assert m._ints is not None and m._grid is None  # handed over, no element built
-        assert m._nonzeros() == _dense_pattern(m)
+    results, built = _built_elements(lambda: _operation_results(*pair))
+    assert built == 0  # handed over on the integer forms, no element built
+    for m in results:
+        assert _form_pattern(m) == _dense_pattern(m)
         rebuilt = type(m)(m.entries)
         assert m == rebuilt and hash(m) == hash(rebuilt)
-        assert rebuilt._nonzeros() == m._nonzeros()
+        assert _form_pattern(rebuilt) == _form_pattern(m)
         assert m.is_zero() == (not any(_dense_pattern(m)))
         assert m.coords() == _dense_coords(m)
 
@@ -505,7 +536,7 @@ def test_cancelling_terms_leave_an_empty_pattern(pair):
     right = cls(list(b.entries) + [[-e for e in row] for row in b.entries])
     square = a @ a.transpose()
     for m in (a - a, left @ right, bracket(square, square), -(b - b)):
-        assert m._nonzeros() == ((),) * m.rows
+        assert _form_pattern(m) == ((),) * m.rows
         assert m.is_zero()
         assert m == cls.zeros(m.rows, m.cols)
         assert hash(m) == hash(cls.zeros(m.rows, m.cols))
@@ -617,6 +648,29 @@ def test_equal_matrices_hash_equal(cls):
 
 
 @_MATRIX_TYPES
+def test_one_value_over_two_forms_is_equal_and_hashes_equal(cls):
+    u = _RING[cls][2]
+    x = cls([[Fraction(1, 2), u, 0], [0, 3, Fraction(-2, 7)]])
+    y = cls([[ExactScalar.sqrt2(), 0, u * ExactScalar(0, 0, Fraction(1, 3))],
+             [u, 0, ExactScalar(1, 1)]])
+    z = (x + y) - y
+    # z's form is over 42 and in the irrational layout, x's over 14 and rational
+    assert (z._ints[0], z._ints[2]) == (42, False)
+    assert (x._ints[0], x._ints[2]) == (14, True)
+    assert z == x and x == z and hash(z) == hash(x)
+    assert z != x + y
+
+
+@_MATRIX_TYPES
+def test_matrices_of_different_shapes_compare_unequal(cls):
+    pairs = [(cls.zeros(2, 3), cls.zeros(3, 2)), (cls.identity(2), cls.identity(3)),
+             (cls.zeros(1, 2), cls.zeros(1, 3)), (cls([[1, 0]]), cls([[1], [0]]))]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert not a == b and not b == a
+
+
+@_MATRIX_TYPES
 def test_constructors_transpose_and_trace(cls):
     zero, one, u = _RING[cls]
     assert cls.identity(2).entries == ((one, zero), (zero, one))
@@ -631,6 +685,22 @@ def test_constructors_transpose_and_trace(cls):
     assert cls.identity(3).trace() == 3
     with pytest.raises(ValueError):
         m.trace()
+
+
+@settings(deadline=None)
+@_MATRIX_TYPES
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@given(data=st.data())
+def test_trace_is_the_sum_of_the_diagonal_entries(cls, kind, data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(_matrix(cls, n, n, kind))
+    d = m.entries[0][0]
+    # m @ m has an unreduced denominator, m - m^T an empty diagonal and
+    # diag(d, -d) a diagonal that cancels
+    for x in (m, m @ m, m.scale(ExactScalar(1, 1)), m - m.transpose(),
+              cls.diag([d, -d])):
+        want = sum((row[i] for i, row in enumerate(x.entries)), cls._zero)
+        assert x.trace() == want
 
 
 @_MATRIX_TYPES
@@ -661,11 +731,12 @@ def _constructor_cases(cls) -> list:
 
 @_MATRIX_TYPES
 def test_constructors_build_the_form_of_their_grid(cls):
-    for built, want in _constructor_cases(cls):
-        assert built._grid is None  # no grid of zero elements
+    cases, built_elements = _built_elements(lambda: _constructor_cases(cls))
+    assert built_elements == 0  # no grid of zero elements
+    for built, want in cases:
         assert built == want and hash(built) == hash(want)
         assert (built.rows, built.cols) == (want.rows, want.cols)
-        assert built._int_form() == want._int_form()
+        assert built._ints == want._ints
         assert built.coords() == want.coords()
 
 
@@ -720,8 +791,6 @@ def test_coords_are_real_coordinates_in_row_major_order():
 # -- tolerances and block assembly ----------------------------------------------
 
 _TOLERANT_PREDICATES = {
-    "is_sostar_group": lambda tol: is_sostar_group(HMatrix.zeros(1, 1), tol),
-    "is_spstar_group": lambda tol: is_spstar_group(HMatrix.zeros(1, 1), 1, 0, tol),
     "is_sostar_group_embedded":
         lambda tol: is_sostar_group_embedded(np.zeros((2, 2)), tol),
     "is_su_group_embedded":
@@ -737,10 +806,26 @@ def test_unbounded_or_negative_tolerance_is_rejected(predicate, tol):
         _TOLERANT_PREDICATES[predicate](tol)
 
 
+def test_exact_group_predicates_reject_a_near_identity():
+    # within 1e-9 of both group identities, but not a member
+    near = HMatrix.identity(2).scale(1 + Fraction(1, 10 ** 10))
+    assert not is_sostar_group(near)
+    assert not is_spstar_group(near, 2, 0)
+    one = HMatrix.identity(2)
+    assert is_sostar_group(one) and is_spstar_group(one, 2, 0)
+    squeeze = HMatrix.diag([2, Fraction(1, 2)])  # unit Study determinant only
+    assert squeeze.study_det() == C_ONE
+    assert not is_sostar_group(squeeze) and not is_spstar_group(squeeze, 2, 0)
+    with pytest.raises(TypeError):  # no tolerance to pass
+        is_sostar_group(near, 1e-9)
+    with pytest.raises(TypeError):
+        is_spstar_group(near, 2, 0, 1e-9)
+
+
 def test_zero_tolerance_asks_for_literal_membership():
     j = HMatrix([[Q_J]])
-    assert is_sostar_group(j, 0) and not is_sostar_group(j.scale(2), 0)
-    assert is_spstar_group(HMatrix([[Q_I]]), 1, 0, 0)
+    assert is_sostar_group(j) and not is_sostar_group(j.scale(2))
+    assert is_spstar_group(HMatrix([[Q_I]]), 1, 0)
     assert is_sostar_group_embedded(j.embed().to_numpy(), 0)
     assert is_su_group_embedded(np.diag([1j, -1j]), 1, 1, 0)
     assert not is_sostar_group_embedded(np.zeros((2, 2)), 0)
@@ -772,16 +857,6 @@ def test_from_blocks_rejects_block_columns_of_different_widths():
 
 # -- block assembly, block slices and Kronecker products on the integer form ---
 
-@st.composite
-def _cmatrix(draw, rows, cols):
-    """A rows x cols CMatrix, rational or irrational, sparse or dense."""
-    scalar = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
-    entry = st.builds(ExactComplex, scalar, scalar)
-    if draw(st.booleans()):  # sparse: about half the entries vanish
-        entry = st.one_of(st.just(C_ZERO), entry)
-    return CMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
-
-
 def _sizes(draw):
     return draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
 
@@ -790,21 +865,21 @@ def _sizes(draw):
 @given(st.data())
 def test_from_blocks_and_block_slices_match_the_entries(data):
     heights, widths = _sizes(data.draw), _sizes(data.draw)
-    blocks = [[data.draw(_cmatrix(h, w)) for w in widths] for h in heights]
-    m = from_blocks(blocks)
-    assert m._grid is None  # assembled on the integer forms, no element built
+    blocks = [[data.draw(_matrix(CMatrix, h, w)) for w in widths] for h in heights]
+    m, built = _built_elements(lambda: from_blocks(blocks))
+    assert built == 0  # assembled on the integer forms, no element built
     want = CMatrix([[e for blk in brow for e in blk.entries[r]]
                     for brow in blocks for r in range(brow[0].rows)])
-    assert m._nonzeros() == _dense_pattern(want)
+    assert _form_pattern(m) == _dense_pattern(want)
     assert m == want and hash(m) == hash(want)
     r0 = 0
     for h, brow in zip(heights, blocks):
         c0 = 0
         for w, blk in zip(widths, brow):
-            part = m._block(r0, r0 + h, c0, c0 + w)
-            assert part._grid is None
+            part, built = _built_elements(lambda: m._block(r0, r0 + h, c0, c0 + w))
+            assert built == 0
             assert (part.rows, part.cols) == (h, w)
-            assert part._nonzeros() == _dense_pattern(blk) and part == blk
+            assert _form_pattern(part) == _dense_pattern(blk) and part == blk
             c0 += w
         r0 += h
 
@@ -813,12 +888,12 @@ def test_from_blocks_and_block_slices_match_the_entries(data):
 @given(st.data())
 def test_kron_matches_the_entrywise_products(data):
     p, q, r, s = (data.draw(st.integers(1, 3)) for _ in range(4))
-    a, b = data.draw(_cmatrix(p, q)), data.draw(_cmatrix(r, s))
-    got = kron(a, b)
-    assert got._grid is None  # one product of two integer forms
+    a, b = data.draw(_matrix(CMatrix, p, q)), data.draw(_matrix(CMatrix, r, s))
+    got, built = _built_elements(lambda: kron(a, b))
+    assert built == 0  # one product of two integer forms
     want = CMatrix([[a.entries[i][j] * b.entries[k][l]
                      for j in range(q) for l in range(s)]
                     for i in range(p) for k in range(r)])
     assert (got.rows, got.cols) == (p * r, q * s)
-    assert got._nonzeros() == _dense_pattern(want)
+    assert _form_pattern(got) == _dense_pattern(want)
     assert got == want and hash(got) == hash(want)

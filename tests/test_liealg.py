@@ -113,10 +113,10 @@ def test_structure_constants_split_each_irrational_generator_once(monkeypatch):
 
     monkeypatch.setattr(hmatrix, "_blocks", counting_blocks)
     structure_constants(LieBasis("dense", "quaternionic", gens))
-    irrational = [g for g in gens if not g._int_form()[2]]
+    irrational = [g for g in gens if not g._ints[2]]
     assert len(irrational) > len(gens) // 2
     for g in irrational:
-        assert sum(rows is g._int_form()[1] for rows in split) == 1
+        assert sum(rows is g._ints[1] for rows in split) == 1
 
 
 def test_closure_error_names_the_row_that_solve_batch_names(dense_recombination):

@@ -7,7 +7,9 @@
 A tree is a source checkout holding src/, perfbench/ and BENCHMARK.json.
 Every run copies those three into a fresh temporary directory and runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` there,
-so no run sees another's files or scratch output.  For each workload and
+so no run sees another's files or scratch output.  A workload that the
+parent's BENCHMARK.json does not name, or a repeated workload or seed, is a
+usage error (exit 2) before any run.  For each workload and
 seed, pair p runs the parent first when p is even and the change first when
 p is odd.  With --trace-seed, each workload also gets one --trace 1 run per
 side on that seed.  Each side then times `sostar export --family sostar --n 8`
@@ -197,6 +199,16 @@ def main(argv=None) -> int:
         missing = [name for name in COPIED if not (tree / name).exists()]
         if missing:
             parser.error(f"{tree} lacks {', '.join(missing)}")
+    declared = trees["parent"] / "BENCHMARK.json"
+    workloads = json.loads(declared.read_text(encoding="utf-8"))["workloads"]
+    names = [w["name"] for w in workloads]
+    unknown = [w for w in args.workload if w not in names]
+    if unknown:
+        parser.error(f"{declared} names no workload {', '.join(unknown)} "
+                     f"(it names {', '.join(names)})")
+    for flag, values in (("--workload", args.workload), ("--seed", args.seed)):
+        if len(set(values)) != len(values):
+            parser.error(f"{flag} repeats a value: {' '.join(map(str, values))}")
 
     runs, traces, summary = [], [], {}
     for workload in args.workload:
