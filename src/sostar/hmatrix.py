@@ -8,10 +8,12 @@ rounds.  A matrix's one state is its integer form (one common denominator
 and the int numerators of the nonzero entries), the integral-vector form of
 ExactScalar (Cohen, A Course in Computational Algebraic Number Theory,
 section 4.2) applied to the whole matrix.  Every operation and every exact
-predicate computes on it; elements are built only when they are read.  Float
-matrices, which only exponentials produce, are complex numpy arrays:
-`CMatrix.to_numpy` is the one crossing from exact to float, and only float
-comparisons take a tolerance, explicit, finite and nonnegative.
+predicate computes on it; elements are built only when they are read, and
+`to_json` builds one for each nonzero entry only, writing every zero entry of
+a document as one shared dict.  Float matrices, which only exponentials
+produce, are complex numpy arrays: `CMatrix.to_numpy` is the one crossing
+from exact to float, and only float comparisons take a tolerance, explicit,
+finite and nonnegative.
 
 Conventions:
 
@@ -19,7 +21,7 @@ Conventions:
   anti-homomorphisms of M_n(H); plain transposition and plain conjugation are
   deliberately *not* homomorphic and are exposed only so tests can exhibit
   the failure.
-* SO*(2n) members satisfy rev_transpose(O) @ O = I with unit Study
+* SO*(2n) members satisfy rev_transpose(O) @ O = I, which forces unit Study
   determinant; its algebra is rev_transpose(a) = -a.
 * Sp*(p,q) members satisfy dagger(A) @ I_pq @ A = I_pq, equivalently they
   preserve the skew reversion-form j*I_pq.
@@ -275,8 +277,9 @@ class _ExactMatrix:
     public constructor and `sparse`, `diag`, `identity` and `zeros` turn
     their elements into a form at once.  Elements exist only when they are
     read: `entries` builds the grid from the form on each read, through
-    `_entry_of`, and each element is reduced to lowest terms.  Equality and
-    the zero test compare forms, so they build no element.
+    `_entry_of`, and each element is reduced to lowest terms; `to_json`
+    builds the nonzero ones only.  Equality and the zero test compare forms,
+    so they build no element.
 
     A third slot keeps the blocked view of the integer form (`_blocks`), the
     operand layout of an irrational product.  It is split on the first
@@ -508,8 +511,18 @@ class _ExactMatrix:
         return hash(self.entries)
 
     def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, **self._json_tags,
-                "entries": [e.to_json() for row in self.entries for e in row]}
+        """Shape and row-major entries, each entry as its element's JSON,
+        read from the integer form: an element is built for each nonzero
+        entry only, and every zero entry is one shared dict.  The document
+        is read-only data for `report.dumps`."""
+        den, rows, rational = self._ints
+        cols = self.cols
+        entries = [self._zero.to_json()] * (self.rows * cols)
+        for i, row in rows.items():
+            for j, t in row.items():
+                entries[i * cols + j] = self._entry_of(t, den, rational).to_json()
+        return {"rows": self.rows, "cols": cols, **self._json_tags,
+                "entries": entries}
 
     @classmethod
     def from_json(cls, obj: dict):
@@ -729,17 +742,15 @@ def _check_tol(tol: float) -> None:
 
 
 def is_sostar_group(o: HMatrix) -> bool:
-    """Membership in SO*(2n): rev_transpose(O) @ O = I and Study det 1.
-
-    Both are exact identities with no tolerance: the first is `==` on the
-    integer forms, the second exact Bareiss elimination.  Float group
-    elements produced by exponentials are checked in embedded form by
-    `is_sostar_group_embedded`.
+    """Membership in SO*(2n): rev_transpose(O) @ O = I, exact (`==` on the
+    integer forms, no tolerance).  That forces unit Study determinant: the
+    complex image C has C^T C = I, so det C = +-1, and a Study determinant is
+    real and nonnegative.  Float group elements produced by exponentials are
+    checked in embedded form by `is_sostar_group_embedded`.
     """
     if o.rows != o.cols:
         raise ValueError("group membership requires a square matrix")
-    return (o.rev_transpose() @ o == HMatrix.identity(o.rows)
-            and o.study_det() == C_ONE)
+    return o.rev_transpose() @ o == HMatrix.identity(o.rows)
 
 
 def is_sostar_algebra(a: HMatrix) -> bool:
@@ -754,8 +765,10 @@ def is_spstar_group(a: HMatrix, p: int, q: int) -> bool:
     """Membership in Sp*(p,q): preserves the quaternion-Hermitian form I_pq.
 
     Also checks the equivalent characterization through the skew reversion
-    form j*I_pq, and unit Study determinant.  All three are exact identities
-    with no tolerance, as in `is_sostar_group`.
+    form j*I_pq; both are exact, as in `is_sostar_group`.  They force unit
+    Study determinant: the complex image C has C^dagger F C = F for the
+    invertible image F of I_pq, so |det C| = 1, and det C is real and
+    nonnegative.
     """
     if a.rows != a.cols:
         raise ValueError("group membership requires a square matrix")
@@ -764,8 +777,7 @@ def is_spstar_group(a: HMatrix, p: int, q: int) -> bool:
     form = i_pq(p, q)
     jform = form.left_mul(Q_J)
     return (a.dagger() @ form @ a == form
-            and a.rev_transpose() @ jform @ a == jform
-            and a.study_det() == C_ONE)
+            and a.rev_transpose() @ jform @ a == jform)
 
 
 def is_spstar_algebra(a: HMatrix, p: int, q: int) -> bool:

@@ -161,8 +161,9 @@ def _eliminate(columns: list, targets: Iterable = ()) -> tuple:
     entry in that column becomes N*row - f*pivot_row; every row that
     changes is divided by the gcd of its coordinates.  The reduced form is
     unique up to the scale of its rows, so the pivot row is chosen freely:
-    the shortest candidate, to limit fill-in, the first in row order among
-    those.
+    a candidate whose pivot entry is rational, so that N is that entry and
+    no conjugates are multiplied in, then the shortest, to limit fill-in,
+    then the first in row order.
     """
     k = len(columns)
     dens = []
@@ -182,7 +183,7 @@ def _eliminate(columns: list, targets: Iterable = ()) -> tuple:
         candidates = [i for i in free if col in rows[i]]
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: len(rows[i]))
+        p = min(candidates, key=lambda i: (any(rows[i][col][1:]), len(rows[i])))
         free.remove(p)
         pivots[col] = p
         prow = rows[p]

@@ -1,14 +1,22 @@
-"""Structured pass/fail records for verification claims, with deterministic
+r"""Structured pass/fail records for verification claims, with deterministic
 JSON output.
 
 Reports never contain timestamps or environment data, and floats are always
 formatted with 17 significant digits, so identical runs serialize to
 byte-identical documents.
+
+`dumps` is the standard library's pure-Python encoder loop
+(`json.encoder._make_iterencode`) with `_fmt_float` for floats, so its text
+is that of `json.dumps(obj, ensure_ascii=False)` except for floats: non-ASCII
+text is kept, a control character is written as \b, \f, \n, \r, \t or
+\u00XX, and a key that is not a str is spelled as JSON spells it (a float
+key by `_fmt_float`); a key or value of any other type is a TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import _make_iterencode, encode_basestring
 from typing import Any, Union
 
 Tolerance = Union[float, str]  # a float tolerance or the string "exact"
@@ -54,9 +62,7 @@ class VerificationReport:
 
 
 def _jsonable(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if hasattr(value, "to_json"):
         return value.to_json()
@@ -75,58 +81,16 @@ def _jsonable(value):
 
 
 def dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: insertion-ordered keys, %.17g floats."""
-    out: list[str] = []
-    _write(obj, out, indent, 0)
-    return "".join(out)
+    """Deterministic JSON text: insertion-ordered keys, %.17g floats, and no
+    whitespace at all for indent=0."""
+    chunks = _make_iterencode(
+        None, _unsupported, encode_basestring, indent or None, _fmt_float,
+        ": " if indent else ":", ",", False, False, False)
+    return "".join(chunks(obj, 0))
 
 
-def _write(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1)) if indent else ""
-    end_pad = " " * (indent * level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[" + nl)
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _write(v, out, indent, level + 1)
-            if i + 1 < len(obj):
-                out.append(sep)
-            else:
-                out.append(nl)
-        out.append(end_pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{" + nl)
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(pad + _escape(str(k)) + (": " if indent else ":"))
-            _write(v, out, indent, level + 1)
-            if i + 1 < len(items):
-                out.append(sep)
-            else:
-                out.append(nl)
-        out.append(end_pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _unsupported(obj):
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _fmt_float(x: float) -> str:
@@ -135,24 +99,3 @@ def _fmt_float(x: float) -> str:
     text = f"{x:.17g}"
     # an integral value prints as bare digits, which JSON reads as an integer
     return text if "." in text or "e" in text else text + ".0"
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)

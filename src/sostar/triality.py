@@ -154,8 +154,12 @@ def apply_triality(quartets: TrialityQuartets, rep: SpinRep) -> SpinRep:
     return SpinRep(_NEXT_NAME[rep.name], out)
 
 
+# the form I_{2,6} of spin(2,6), built once: the matrix is immutable
+_I26 = CMatrix.diag([1, 1] + [-1] * 6)
+
+
 def signature_form_26() -> CMatrix:
-    return CMatrix.diag([1, 1] + [-1] * 6)
+    return _I26
 
 
 def is_real_matrix(m: CMatrix) -> bool:
@@ -163,8 +167,7 @@ def is_real_matrix(m: CMatrix) -> bool:
 
 
 def respects_i26_antisymmetry(m: CMatrix) -> bool:
-    form = signature_form_26()
-    return (form @ (-m.transpose()) @ form - m).is_zero()
+    return (_I26 @ (-m.transpose()) @ _I26 - m).is_zero()
 
 
 def verify_triality(spin: SpinBasisSet | None = None) -> VerificationReport:

@@ -62,6 +62,21 @@ def test_export_summary_of_known_values():
     assert differ["sha256"] == {"parent": "ae1b", "change": "60fd"}
 
 
+def test_phase_summary_of_known_values():
+    parent = [{"build_s": 0.2, "dumps_s": 0.56}, {"build_s": 0.3, "dumps_s": 0.6},
+              {"build_s": 0.25, "dumps_s": 0.5}]
+    change = [{"build_s": 0.2, "dumps_s": 0.35}, {"build_s": 0.15, "dumps_s": 0.4},
+              {"build_s": 0.123456, "dumps_s": 0.3}]
+    got = bench_pairs.phase_summary(parent, change)
+    assert list(got) == ["build_s", "dumps_s"]
+    assert got["build_s"] == {"parent_s": [0.2, 0.3, 0.25],
+                              "change_s": [0.2, 0.15, 0.1235],
+                              "median": {"parent": 0.25, "change": 0.15},
+                              "ratio_of_medians": 0.6}
+    assert got["dumps_s"]["median"] == {"parent": 0.56, "change": 0.35}
+    assert got["dumps_s"]["ratio_of_medians"] == 0.625
+
+
 def _exit_before_any_run(monkeypatch, args) -> int:
     """The exit code of `main(args)`, which must stop before any run."""
     def run_once(*args):

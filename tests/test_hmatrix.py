@@ -124,6 +124,41 @@ def test_sostar_membership_examples():
     assert is_sostar_group(HMatrix([[Q_J]]))
 
 
+# cosine and sine of an exact rotation angle: 3/5 and 4/5
+_COS_SIN = (Fraction(3, 5), Fraction(4, 5))
+
+
+@st.composite
+def _sostar_elements(draw):
+    """An exact element of SO*(2n), n <= 4: a product of (3/5, 4/5) rotations
+    of a real coordinate plane and j phases diag(1, ..., c + s j, ..., 1)."""
+    n = draw(st.integers(1, 4))
+    o = HMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 7))):
+        c, s = draw(st.sampled_from([_COS_SIN, _COS_SIN[::-1], (0, 1)]))
+        s *= draw(st.sampled_from([1, -1]))
+        entries = {(i, i): 1 for i in range(n)}
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n)))[:2]
+            entries.update({(a, a): c, (b, b): c, (a, b): -s, (b, a): s})
+        else:
+            p = draw(st.integers(0, n - 1))
+            entries[(p, p)] = Quaternion(c, 0, s)
+        o = HMatrix.sparse(n, entries) @ o
+    return o
+
+
+@settings(deadline=None)
+@given(_sostar_elements())
+def test_exact_sostar_elements_have_unit_study_determinant(o):
+    # the group identity alone decides membership: it forces det = 1
+    assert is_sostar_group(o)
+    assert o.study_det() == C_ONE
+    # these elements are also quaternion-unitary, so they lie in Sp*(n, 0)
+    assert is_spstar_group(o, o.rows, 0)
+    assert not is_sostar_group(o.scale(Fraction(5, 4)))
+
+
 def test_spstar_membership_examples():
     assert is_spstar_group(HMatrix.identity(2), 2, 0)
     assert is_spstar_group(HMatrix([[Q_I]]), 1, 0)
@@ -773,6 +808,31 @@ def test_json_key_order_text_and_round_trip(cls):
     assert json.dumps(entry.to_json()) == (
         '{"rows": 1, "cols": 1, ' + head + '"entries": ['
         + json.dumps(u.to_json()) + ']}')
+
+
+@settings(deadline=None)
+@_MATRIX_TYPES
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@given(data=st.data())
+def test_to_json_matches_the_element_built_reference(cls, kind, data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    for m in (data.draw(_matrix(cls, rows, cols, kind)), cls.zeros(rows, cols)):
+        doc = m.to_json()
+        assert doc["entries"] == [e.to_json() for row in m.entries for e in row]
+        assert json.loads(json.dumps(doc)) == doc
+
+
+@_MATRIX_TYPES
+def test_to_json_builds_one_element_per_nonzero_entry(cls):
+    u = _RING[cls][2]
+    cases = [(cls.zeros(3, 2), 0), (cls.identity(4), 4),
+             (cls.sparse(4, {(0, 1): u, (2, 3): ExactScalar(1, 0, 0, 1), (3, 0): -1}), 3)]
+    for m, nonzero in cases:
+        doc, built = _built_elements(m.to_json)
+        assert built == nonzero
+        zeros = [e for e in doc["entries"] if e == m._zero.to_json()]
+        assert len(zeros) == m.rows * m.cols - nonzero
+        assert all(e is zeros[0] for e in zeros)  # one shared dict
 
 
 @_MATRIX_TYPES

@@ -143,6 +143,34 @@ def test_solve_batch_matches_reference_with_mixed_denominators(data):
     _check_solve_batch(_mixed_denominators, data)
 
 
+@settings(deadline=None)
+@given(data=st.data())
+def test_solutions_do_not_depend_on_the_labels_of_the_coordinate_rows(data):
+    # the pivot row is picked by a rational pivot entry, then length, then
+    # row order; the solution is unique, so relabelling the rows of a mixed
+    # rational and irrational system changes no solution
+    columns = data.draw(_matrices("real", max_rows=4, max_cols=6))
+    k, m = len(columns), len(columns[0])
+    targets = [_combination([data.draw(_scalar) for _ in range(k)], columns, ZERO)
+               for _ in range(data.draw(st.integers(1, 3)))]
+    labels = data.draw(st.lists(st.integers(0, 99), min_size=m, max_size=m,
+                                unique=True))
+
+    def solve(label):
+        def vectors(values):
+            out = []
+            for v in values:
+                den, vec = linalg._sparse(v)
+                out.append((den, {label[i]: x for i, x in vec.items()}))
+            return out
+        try:
+            return linalg._solve(vectors(columns), vectors(targets))
+        except ValueError as exc:
+            return str(exc)
+
+    assert solve(labels) == solve(range(m))
+
+
 # -- the structure-constant systems of whole bases: one column per generator,
 # one target per bracket [g_i, g_j], i < j
 

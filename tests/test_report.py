@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sostar.report import VerificationReport, dumps
 
@@ -47,6 +48,50 @@ def test_nonfinite_floats_rejected():
 def test_string_escaping():
     text = dumps({"s": 'quote " backslash \\ newline \n tab \t'})
     assert json.loads(text)["s"] == 'quote " backslash \\ newline \n tab \t'
+
+
+# float-free documents: floats are the one place where dumps differs from
+# json.dumps; the strings mix quotes, backslashes, control characters and
+# non-ASCII text, and the keys include the non-string ones JSON spells
+_text = st.text(st.characters(max_codepoint=0x2FF) | st.sampled_from('"\\\b\f\x7f'),
+                max_size=8)
+_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_text | st.integers() | st.booleans() | st.none(),
+                                     inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_documents)
+def test_dumps_matches_the_standard_library_on_float_free_documents(doc):
+    assert dumps(doc, indent=2) == json.dumps(doc, ensure_ascii=False, indent=2)
+    assert dumps(doc) == json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+
+
+def test_control_characters_and_non_ascii_text_are_pinned():
+    assert dumps("\b\f\n\r\t\x01\x1f\x7f\"\\é") == (
+        '"\\b\\f\\n\\r\\t\\u0001\\u001f\x7f\\"\\\\é"')
+
+
+def test_keys_that_are_not_strings_get_their_json_spellings():
+    doc = {True: 1, False: 2, None: 3, 7: 4, 1.5: 5, 2.0: 6, 1e16: 7}
+    assert dumps(doc) == ('{"true":1,"false":2,"null":3,"7":4,"1.5":5,'
+                          '"2.0":6,"10000000000000000.0":7}')
+    with pytest.raises(TypeError, match="tuple"):
+        dumps({(1, 2): 3})
+
+
+@pytest.mark.parametrize("value, name", [
+    (object(), "object"), ({"a": [1, {2}]}, "set"), ([b"x"], "bytes"),
+    (1j, "complex"),
+], ids=["object", "nested-set", "bytes", "complex"])
+def test_unsupported_values_are_a_type_error_that_names_the_type(value, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        dumps(value)
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        dumps(value, indent=2)
 
 
 def test_indented_output_round_trips():

@@ -15,7 +15,9 @@ p is odd.  With --trace-seed, each workload also gets one --trace 1 run per
 side on that seed.  Each side then times `sostar export --family sostar --n 8`
 (so*(16)) in three alternating rounds, parent first in the first and third,
 as one process each in a fresh copy of its src/ after one untimed warm-up
-run there.
+run there.  In each round a second fresh process per side times the two
+phases of that export: building the document (`cli.export_document`) and
+writing it (`report.dumps`).
 
 The JSON written to BENCH_N.json in the current directory holds: what,
 command, protocol, host, summary, export, runs and trace.  For each
@@ -23,7 +25,8 @@ workload/seed and end-to-end metric, the summary gives both sides' median
 and quartiles over the pairs, the ratio of the medians (change over parent),
 the parent's interquartile range, and the number of pairs in which the
 change is lower and higher.  `export` holds both sides' export wall times,
-the sha256 of each side's output and whether the two are byte-identical.
+the sha256 of each side's output and whether the two are byte-identical,
+and per phase (`build_s`, `dumps_s`) both sides' times and medians.
 `runs` and `trace` keep the two JSON lines that every run printed.  Only the
 standard library is used.
 """
@@ -48,6 +51,17 @@ COPIED = ("src", "perfbench", "BENCHMARK.json")
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0|1"
 EXPORT_ARGS = ("export", "--family", "sostar", "--n", "8")
 EXPORT_ROUNDS = 3
+# the phases of the export above, timed in one process: phase -> seconds
+PHASE_SCRIPT = """\
+import json, time
+from sostar import cli, report
+start = time.perf_counter()
+doc = cli.export_document("sostar", 8)
+built = time.perf_counter()
+report.dumps(doc, indent=2)
+print(json.dumps({"build_s": built - start, "dumps_s": time.perf_counter() - built}))
+"""
+PHASES = ("build_s", "dumps_s")
 
 
 def _round(x: float) -> float:
@@ -139,6 +153,33 @@ def export_summary(parent_s: list[float], change_s: list[float],
     }
 
 
+def phase_summary(parent: list[dict], change: list[dict]) -> dict:
+    """Per phase, both sides' times round by round and their medians, from
+    one {phase: seconds} dict per round and side."""
+    out = {}
+    for phase in PHASES:
+        times = {"parent": [r[phase] for r in parent],
+                 "change": [r[phase] for r in change]}
+        medians = {side: _round(statistics.median(ts)) for side, ts in times.items()}
+        out[phase] = {"parent_s": [_round(x) for x in times["parent"]],
+                      "change_s": [_round(x) for x in times["change"]],
+                      "median": medians,
+                      "ratio_of_medians": _round(medians["change"] / medians["parent"])}
+    return out
+
+
+def phases_once(src: Path) -> dict:
+    """{phase: seconds} of one fresh process running PHASE_SCRIPT on the
+    sources `src`."""
+    proc = subprocess.run([sys.executable, "-c", PHASE_SCRIPT], cwd=src.parent,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"export phases on {src} exited {proc.returncode}: "
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def export_once(src: Path) -> tuple[float, str]:
     """Wall time of one `sostar export` process on the sources `src`, and
     the sha256 of the file it writes."""
@@ -158,8 +199,9 @@ def export_once(src: Path) -> tuple[float, str]:
 
 def time_export(trees: dict) -> dict:
     """The export section: each side's src/ copied once, warmed up by one
-    untimed run, then timed in alternating rounds."""
+    untimed run, then timed in alternating rounds, phases included."""
     times = {side: [] for side in trees}
+    phases = {side: [] for side in trees}
     shas = {}
     with tempfile.TemporaryDirectory(prefix="bench_export_src_") as tmp:
         srcs = {}
@@ -173,9 +215,12 @@ def time_export(trees: dict) -> dict:
             for side in order:
                 wall, shas[side] = export_once(srcs[side])
                 times[side].append(wall)
-                print(f"export round {r} {side}: {wall:.3f} s", file=sys.stderr)
-    return export_summary(times["parent"], times["change"], shas["parent"],
-                          shas["change"])
+                phases[side].append(phases_once(srcs[side]))
+                print(f"export round {r} {side}: {wall:.3f} s, phases "
+                      f"{phases[side][-1]}", file=sys.stderr)
+    return {**export_summary(times["parent"], times["change"], shas["parent"],
+                             shas["change"]),
+            **phase_summary(phases["parent"], phases["change"])}
 
 
 def main(argv=None) -> int:
