@@ -106,7 +106,7 @@ _FIXED_FAMILIES = {
 # Largest algebra dimension that `export` builds for a generic family; the
 # exact structure constants take about dim^3 work.  The largest allowed
 # export, so*(16) (`--family sostar --n 8`, dimension 120), takes
-# 0.45-0.61 s (three runs, BENCH_16.json) on a 2-core x86-64 Linux host with
+# 0.51-0.64 s (three runs, BENCH_17.json) on a 2-core x86-64 Linux host with
 # Python 3.11.
 MAX_EXPORT_DIM = 120
 

@@ -35,7 +35,8 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
-from .scalars import C_I, C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _from_ints
+from .scalars import (C_I, C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _ZERO4,
+                      _from_ints)
 
 DEFAULT_TOL = 1e-9
 
@@ -508,7 +509,20 @@ class _ExactMatrix:
                 and (self - other).is_zero())
 
     def __hash__(self):
-        return hash(self.entries)
+        """The shape and the canonical integer form: an irrational form whose
+        sqrt2, sqrt3 and sqrt6 blocks all vanish is read in the rational
+        layout, and the den and numerators are divided by their gcd, so the
+        forms of one value hash alike and no element is built."""
+        den, rows, rational = self._ints
+        k = len(self._entry._fields)
+        if not rational and not any(any(t[k:]) for row in rows.values()
+                                    for t in row.values()):
+            rows = {i: {j: t[:k] for j, t in row.items()} for i, row in rows.items()}
+        g = math.gcd(den, *(x for row in rows.values() for t in row.values()
+                            for x in t))
+        return hash((self.rows, self.cols, den // g, frozenset(
+            (i, j, tuple(x // g for x in t)) for i, row in rows.items()
+            for j, t in row.items())))
 
     def to_json(self) -> dict:
         """Shape and row-major entries, each entry as its element's JSON,
@@ -643,18 +657,24 @@ class CMatrix(_ExactMatrix):
     def inverse(self) -> "CMatrix":
         """Exact inverse: column k is y + i z for the real solution (y, z) of
         [A | iA](y, z) = e_k on the `_complex_columns`, all n targets in one
-        `linalg._solve`.  Those 2n real columns are dependent exactly when
-        A is singular, which raises ValueError("matrix is singular")."""
+        `linalg._solve`, whose integer form becomes the inverse's form.
+        Those 2n real columns are dependent exactly when A is singular,
+        which raises ValueError("matrix is singular")."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         units = [(1, {2 * k: (1, 0, 0, 0)}) for k in range(n)]
         try:
-            sols = linalg._solve(self._complex_columns(), units)
+            den, sols = linalg._solve(self._complex_columns(), units)
         except ValueError:
             raise ValueError("matrix is singular") from None
-        return CMatrix([[ExactComplex(sol.get(r, ZERO), sol.get(n + r, ZERO))
-                         for sol in sols] for r in range(n)])
+        rational = not any(t[1] or t[2] or t[3] for sol in sols for t in sol.values())
+        rows = {}
+        for k, sol in enumerate(sols):
+            for r in dict.fromkeys(c % n for c in sol):  # re at r, im at n + r
+                t = _interleave(sol.get(r, _ZERO4), sol.get(n + r, _ZERO4))
+                rows.setdefault(r, {})[k] = t[:2] if rational else t
+        return CMatrix._from_form(n, n, (den, rows, rational))
 
     def _complex_columns(self) -> list:
         """The sparse integer vectors of `linalg._eliminate` for the 2m

@@ -6,33 +6,36 @@ vectorized over the real coefficient field Q(sqrt2, sqrt3) by their real
 coordinates (four per quaternion entry, two per complex entry) and every
 bracket is expanded in the basis by one batched, fraction-free elimination
 on integer coordinates (`linalg._solve`), which takes the sparse integer
-coordinates of each matrix and returns sparse solutions.  A bracket leaving
-the real span raises, which doubles as the closure check.
+coordinates of each matrix and returns the solutions as one integer form.
+That form is the `StructureTensor`'s whole state, so no field element is
+built between the brackets and the Killing matrix.  A bracket leaving the
+real span raises, which doubles as the closure check.
 
 The Killing matrix B_ij = Tr(ad_i ad_j) is summed on packed integers: every
-structure constant is scaled by one common denominator D to ints (a, b, c,
-d) over {1, sqrt2, sqrt3, sqrt6}, which are packed into one int by
-Kronecker substitution (sqrt2 -> 2^S, sqrt3 -> 2^(3S)), so that the product
-of two constants is one big-int multiply.  Only products of two nonzero
-constants are formed, as outer products of the sparse vectors
+structure constant is already an int 4-tuple (a, b, c, d) over {1, sqrt2,
+sqrt3, sqrt6} and the tensor's one denominator D, and is packed into one
+int by Kronecker substitution (sqrt2 -> 2^S, sqrt3 -> 2^(3S)), so that the
+product of two constants is one big-int multiply.  Only products of two
+nonzero constants are formed, as outer products of the sparse vectors
 u_kl[i] = f[i,k,l].  The slot width S is chosen from the largest numerator
 and the dimension so that no slot of a trace sum can overflow, and the
 unpacking raises rather than wrap if one ever did.  Each entry becomes one
 ExactScalar after a single division by D^2, and the signature is decided by
-exact congruence on that ExactScalar matrix.
+exact congruence on that ExactScalar matrix, with rational pivots first.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from typing import Sequence
 
 from . import linalg
 from .hmatrix import CMatrix, HMatrix, from_blocks, kron
-from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints
+from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints, _mul4
 
 QUATERNIONIC = "quaternionic"
 COMPLEX_EXACT = "complex-exact"
@@ -121,59 +124,108 @@ class LieBasis:
         }
 
 
-@dataclass
 class StructureTensor:
     """Sparse antisymmetric tensor f with [g_i, g_j] = sum_k f[i,j,k] g_k.
 
-    `table` holds no zero coefficient and no empty row, so two tensors are
-    equal exactly when their (dim, table) are (the dataclass comparison).
+    Its state is `dim` and the integer form (den, {(i, j): {k: (a, b, c,
+    d)}}) for i < j, with f[i,j,k] = (a + b*sqrt2 + c*sqrt3 + d*sqrt6) /
+    den.  The form holds no zero entry and no empty row, and den is the lcm
+    of the denominators of the coefficients in lowest terms, so each tensor
+    has one form and two tensors are equal exactly when their dims and
+    forms are.  `StructureTensor(dim, table)` takes {(i, j): {k:
+    ExactScalar}} and drops its zeros.  Elements are built only when read:
+    `table`, `get`, `row` and `to_triplets` build the ones they return on
+    each read, and `jacobi_holds` runs on the ints.
     """
 
-    dim: int
-    table: dict = field(default_factory=dict)  # (i, j) i<j -> {k: ExactScalar}
+    def __init__(self, dim: int, table: dict | None = None) -> None:
+        items = [(pair, k, v) for pair, row in (table or {}).items()
+                 for k, v in row.items() if not v.is_zero()]
+        den, coords = linalg._int_coords([v for _, _, v in items])
+        rows: dict = {}
+        for (pair, k, _), t in zip(items, coords):
+            rows.setdefault(pair, {})[k] = t
+        self.dim = dim
+        self._form = (den, rows)
 
-    def get(self, i: int, j: int, k: int) -> ExactScalar:
-        if i == j:
-            return ExactScalar(0)
-        if i < j:
-            return self.table.get((i, j), {}).get(k, ExactScalar(0))
-        return -self.table.get((j, i), {}).get(k, ExactScalar(0))
+    @classmethod
+    def _from_form(cls, dim: int, form: tuple) -> "StructureTensor":
+        """The tensor with the canonical integer form `form`.  Trusted:
+        nothing is checked."""
+        tensor = object.__new__(cls)
+        tensor.dim = dim
+        tensor._form = form
+        return tensor
 
-    def row(self, i: int, j: int) -> dict:
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StructureTensor):
+            return NotImplemented
+        return self.dim == other.dim and self._form == other._form
+
+    def __repr__(self) -> str:
+        return f"StructureTensor({self.dim}, {self.table!r})"
+
+    @property
+    def table(self) -> dict:
+        """{(i, j): {k: ExactScalar}} for i < j, built on each read."""
+        den, rows = self._form
+        return {pair: {k: _from_ints(*t, den) for k, t in row.items()}
+                for pair, row in rows.items()}
+
+    def _row_ints(self, i: int, j: int) -> dict:
+        """{k: ints} of f[i, j, k] over den, for any i and j."""
         if i == j:
             return {}
+        rows = self._form[1]
         if i < j:
-            return self.table.get((i, j), {})
-        return {k: -v for k, v in self.table.get((j, i), {}).items()}
+            return rows.get((i, j), {})
+        return {k: (-a, -b, -c, -d) for k, (a, b, c, d) in rows.get((j, i), {}).items()}
+
+    def get(self, i: int, j: int, k: int) -> ExactScalar:
+        den, rows = self._form
+        t = rows.get((min(i, j), max(i, j)), {}).get(k) if i != j else None
+        if t is None:
+            return ZERO
+        value = _from_ints(*t, den)
+        return value if i < j else -value
+
+    def row(self, i: int, j: int) -> dict:
+        den = self._form[0]
+        return {k: _from_ints(*t, den) for k, t in self._row_ints(i, j).items()}
 
     def jacobi_holds(self) -> bool:
-        """Exact Jacobi identity on every index triple."""
+        """Exact Jacobi identity on every index triple.  Every product of two
+        coefficients lies over den^2, so the sums run on the numerators."""
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc: dict[int, ExactScalar] = {}
+                    acc: dict[int, tuple] = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, f1 in self.row(a, b).items():
-                            for l, f2 in self.row(m, c).items():
+                        for m, f1 in self._row_ints(a, b).items():
+                            for l, f2 in self._row_ints(m, c).items():
+                                p = _mul4(f1, f2)
                                 cur = acc.get(l)
-                                acc[l] = f1 * f2 if cur is None else cur + f1 * f2
-                    if any(not v.is_zero() for v in acc.values()):
+                                acc[l] = p if cur is None else tuple(map(add, cur, p))
+                    if any(any(v) for v in acc.values()):
                         return False
         return True
 
     def to_triplets(self) -> list:
-        return [[i, j, k, row[k].to_json()]
-                for (i, j), row in sorted(self.table.items()) for k in sorted(row)]
+        den, rows = self._form
+        return [[i, j, k, _from_ints(*row[k], den).to_json()]
+                for (i, j), row in sorted(rows.items()) for k in sorted(row)]
 
 
 def structure_constants(basis: LieBasis) -> StructureTensor:
     """Expand every bracket [g_i, g_j] (i<j) in the basis, exactly.
 
     Every generator and bracket goes to the elimination as its nonzero
-    integer coordinates, read from the matrix's integer form, so no element
-    of a bracket is ever built.  Raises ValueError if the basis is linearly
-    dependent or some bracket falls outside the real span (basis not closed).
+    integer coordinates, read from the matrix's integer form, and the
+    solutions come back as the tensor's integer form, so no element of a
+    bracket or a coefficient is built.  Raises ValueError if the basis is
+    linearly dependent or some bracket falls outside the real span (basis
+    not closed).
     """
     gens = basis.generators
     n = len(gens)
@@ -181,11 +233,12 @@ def structure_constants(basis: LieBasis) -> StructureTensor:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     targets = (bracket(gens[i], gens[j])._coordinate_ints() for (i, j) in pairs)
     try:
-        sols = linalg._solve(columns, targets)
+        den, sols = linalg._solve(columns, targets)
     except ValueError as exc:
         raise ValueError(f"basis {basis.name!r} is not closed under the bracket "
                          f"or is degenerate: {exc}") from exc
-    return StructureTensor(n, {pair: row for pair, row in zip(pairs, sols) if row})
+    return StructureTensor._from_form(
+        n, (den, {pair: row for pair, row in zip(pairs, sols) if row}))
 
 
 @dataclass
@@ -243,10 +296,11 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
     With the vectors u_kl[i] = f[i,k,l], B = C + C^T + D for
     C = sum_{k<l} u_kl (x) u_lk and D = sum_k u_kk (x) u_kk, so only
     products of two nonzero coefficients are formed.  Every coefficient is
-    scaled by the common denominator D0 (the lcm of all coordinate
-    denominators) to ints (a, b, c, d) over {1, sqrt2, sqrt3, sqrt6} and
-    packed into the one int a + b*2^S + c*2^(3S) + d*2^(4S) (Kronecker
-    substitution: sqrt2 -> 2^S, sqrt3 -> 2^(3S)), so each product is one
+    read from the tensor's integer form, ints (a, b, c, d) over {1, sqrt2,
+    sqrt3, sqrt6} and the common denominator D0 (the lcm of all coordinate
+    denominators), and packed into the one int
+    a + b*2^S + c*2^(3S) + d*2^(4S) (Kronecker substitution:
+    sqrt2 -> 2^S, sqrt3 -> 2^(3S)), so each product is one
     big-int multiply, whose monomial sqrt2^p sqrt3^q (p, q <= 2) lands in
     the slot at bit S*(p + 3q).  A slot of an entry of B sums n^2 products
     of at most four terms each, so with M the largest scaled numerator its
@@ -255,17 +309,17 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
     `_slots`, folded with sqrt2^2 = 2 and sqrt3^2 = 3, and divided by D0^2.
     """
     n = tensor.dim
-    entries = [(i, j, k, v) for (i, j), row in tensor.table.items()
-               for k, v in row.items()]
-    den, coords = linalg._int_coords([e[3] for e in entries])
-    top = max(map(abs, chain.from_iterable(coords)), default=0)
+    den, rows = tensor._form
+    top = max(map(abs, chain.from_iterable(
+        chain.from_iterable(row.values()) for row in rows.values())), default=0)
     shift = 2 * top.bit_length() + (4 * n * n).bit_length() + 1
     # u[k, l] lists the pairs (i, packed f[i, k, l]) of nonzero coefficients
     u = defaultdict(list)
-    for (i, j, k, _), (a, b, c, d) in zip(entries, coords):
-        p = a + (b << shift) + (c << 3 * shift) + (d << 4 * shift)
-        u[j, k].append((i, p))
-        u[i, k].append((j, -p))
+    for (i, j), row in rows.items():
+        for k, (a, b, c, d) in row.items():
+            p = a + (b << shift) + (c << 3 * shift) + (d << 4 * shift)
+            u[j, k].append((i, p))
+            u[i, k].append((j, -p))
     cross = [[0] * n for _ in range(n)]
     square = [[0] * n for _ in range(n)]
     meetings = [(cross, x, u[l, k]) for (k, l), x in u.items()

@@ -3,18 +3,23 @@
 Every exact solve, rank and nullspace runs on one elimination kernel,
 `_eliminate`: Gauss-Jordan on sparse vectors of int 4-tuples over
 {1, sqrt2, sqrt3, sqrt6}, fraction-free in the spirit of Bareiss (Galois-
-conjugate pivots, gcd-reduced rows), so no field element is divided until a
-solution is read off.  `_solve`, `solve_batch`, `rank`, `nullspace_basis`,
-the independence check of a `LieBasis`, `commutant_dimension` and
-`CMatrix.inverse` are front ends to it.  A complex column c enters with i*c,
-both in the real (re, im) layout of `coords()`, so a complex rank is half
-the real pivot count.
+conjugate pivots, gcd-reduced rows), so no field element is divided.
+`_solutions` reads every solution off as one integer form, (den, [{column:
+int 4-tuple}, ...]) over the lcm of the reduced denominators, which is
+canonical.  `_solve`, `solve_batch`, `rank`, `nullspace_basis`, the
+independence check of a `LieBasis`, `commutant_dimension` and
+`CMatrix.inverse` are front ends to the kernel; the structure constants and
+the inverse keep the integer form, and only `solve_batch` and
+`nullspace_basis` build field elements from it.  A complex column c enters
+with i*c, both in the real (re, im) layout of `coords()`, so a complex rank
+is half the real pivot count.
 
 The generic `rref` on field objects has no caller in the package: it stays
 for the benchmark's hook and as a reference for the tests.  `det_bareiss`
-and `congruence_signature` take plain lists of row lists; the latter
-updates, after each pivot, only the trailing block's rows and columns where
-the pivot row is nonzero.
+and `congruence_signature` take plain lists of row lists.  The latter takes
+a rational diagonal pivot whenever one is left, so that no irrational
+inverse grows the coefficients, and updates, after each pivot, only the
+trailing block's rows and columns where the pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -88,12 +93,13 @@ def nullspace_basis(rows: Sequence[Sequence]) -> list[list[ExactScalar]]:
     dens, reduced, pivots = _eliminate(
         [_sparse([row[c] for row in rows]) for c in range(ncols)])
     free = [c for c in range(ncols) if c not in pivots]
+    den, sols = _solutions(dens, reduced, pivots, free)
     out = []
-    for c, sol in zip(free, _solutions(dens, reduced, pivots, free)):
+    for c, sol in zip(free, sols):
         vec = [ZERO] * ncols
         vec[c] = ExactScalar(1)
-        for col, x in sol.items():
-            vec[col] = -x
+        for col, (a, b, x, d) in sol.items():
+            vec[col] = _from_ints(-a, -b, -x, -d, den)
         out.append(vec)
     return out
 
@@ -107,8 +113,9 @@ def solve_batch(columns: list[list], targets: list[list]):
     `_solve` as its nonzero coordinates over the lcm of their denominators.
     """
     k = len(columns)
-    sols = _solve([_sparse(v) for v in columns], [_sparse(v) for v in targets])
-    return [[sol.get(c, ZERO) for c in range(k)] for sol in sols]
+    den, sols = _solve([_sparse(v) for v in columns], [_sparse(v) for v in targets])
+    return [[_from_ints(*sol[c], den) if c in sol else ZERO for c in range(k)]
+            for sol in sols]
 
 
 def _sparse(values) -> tuple:
@@ -223,22 +230,47 @@ def _eliminate(columns: list, targets: Iterable = ()) -> tuple:
     return dens, rows, pivots
 
 
-def _solutions(dens: list, rows: dict, pivots: dict, wanted) -> list:
-    """Per vector j of `wanted`, the sparse x {pivot column: ExactScalar}
-    with sum_c x_c v_c = v_j, from `_eliminate`'s result; j must lie in the
-    span of the pivot columns.  A pivot row with the pivot N in column c and
-    the entry y in vector j gives x_c = y D_c / (N D_j), so every solution
-    is read in one pass over the pivot rows."""
-    sols = {j: {} for j in wanted}
+def _solutions(dens: list, rows: dict, pivots: dict, wanted) -> tuple:
+    """Per vector j of `wanted`, the sparse x with sum_c x_c v_c = v_j, from
+    `_eliminate`'s result; j must lie in the span of the pivot columns.
+
+    The solutions come as one integer form (den, [{pivot column: int
+    4-tuple}, ...]): x_c = (a + b*sqrt2 + c*sqrt3 + d*sqrt6) / den, with
+    den the lcm of the reduced denominators of all the x_c, so the form is
+    canonical and no field element is built.  A pivot row with the pivot N
+    in column c and the entry y in vector j gives x_c = y D_c / (N D_j), so
+    every solution is read in one pass over the pivot rows.  The factor
+    D_c / N of each pivot row is taken in lowest terms; the ints are put
+    over the lcm of those N times the lcm of the D_j, and that and every
+    numerator are divided by their gcd at the end.
+    """
+    factors = []  # (c, pivot row, f, n) with f / n = D_c / N, n > 0, in lowest terms
     for col, p in pivots.items():
         row = rows[p]
-        n = row[col][0]
-        dc = dens[col]
+        n, f = row[col][0], dens[col]
+        g = math.gcd(n, f)
+        n, f = n // g, f // g
+        factors.append((col, row, f, n) if n > 0 else (col, row, -f, -n))
+    lcm_n = math.lcm(*(n for *_, n in factors))
+    lcm_d = math.lcm(*(dens[j] for j in wanted))
+    scale = {j: lcm_d // dens[j] for j in wanted}
+    sols = {j: {} for j in wanted}
+    den = g = lcm_n * lcm_d
+    for col, row, f, n in factors:
+        f *= lcm_n // n
         for j, (a, b, c, d) in row.items():
             sol = sols.get(j)
             if sol is not None:
-                sol[col] = _from_ints(a * dc, b * dc, c * dc, d * dc, n * dens[j])
-    return list(sols.values())
+                s = f * scale[j]
+                t = sol[col] = (a * s, b * s, c * s, d * s)
+                if g != 1:
+                    g = math.gcd(g, *t)
+    if g > 1:
+        den //= g
+        for sol in sols.values():
+            for col, (a, b, c, d) in sol.items():
+                sol[col] = (a // g, b // g, c // g, d // g)
+    return den, list(sols.values())
 
 
 def _int_coords(values):
@@ -296,23 +328,30 @@ def congruence_signature(sym) -> tuple[int, int, int]:
     """Signature (n_minus, n_plus, n_zero) of a symmetric ExactScalar matrix.
 
     Diagonalizes by exact congruence transformations: simultaneous row and
-    column operations, creating a nonzero diagonal pivot from an off-diagonal
-    entry when the whole diagonal vanishes.
+    column operations.  When the next diagonal entry is zero or irrational,
+    the first later diagonal entry that is rational and nonzero is swapped
+    in, since the inverse of an irrational pivot multiplies every updated
+    entry by its three Galois conjugates; failing that, a zero entry gives
+    way to the first nonzero one, and a nonzero diagonal pivot is made from
+    an off-diagonal entry when the whole remaining diagonal vanishes.  A
+    symmetric swap is a congruence, so by Sylvester's law of inertia every
+    pivot order gives the same signature.
     """
     n = len(sym)
     m = [list(row) for row in sym]
     n_minus = n_plus = n_zero = 0
     for k in range(n):
-        if m[k][k].is_zero():
-            # look for a later diagonal pivot first
-            swap = None
-            for i in range(k + 1, n):
-                if not m[i][i].is_zero():
-                    swap = i
-                    break
+        d = m[k][k]
+        if d.is_zero() or not d.is_rational():
+            # a later rational diagonal pivot first, else any nonzero one
+            swap = next((i for i in range(k + 1, n)
+                         if m[i][i].is_rational() and not m[i][i].is_zero()), None)
+            if swap is None and d.is_zero():
+                swap = next((i for i in range(k + 1, n) if not m[i][i].is_zero()),
+                            None)
             if swap is not None:
                 _sym_swap(m, k, swap)
-            else:
+            elif d.is_zero():
                 # all remaining diagonal entries vanish; mix in a row with a
                 # nonzero off-diagonal entry: (e_k + e_j) pairing gives 2 m[k][j]
                 found = None

@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from sostar import cli
 from sostar.bases import (SO_STAR, basis_sostar4_A, basis_sostar6_complex,
@@ -11,6 +12,13 @@ from sostar.liealg import COMPLEX_EXACT, LieBasis
 from sostar.scalars import ExactScalar
 from sostar.clifford import spin26_generators
 from sostar.triality import transformed_spin_reps
+
+# Every phase but `explain`: after a failure, hypothesis's explain phase can
+# grow the test process past a gigabyte of memory.  The example counts,
+# deadlines and each test's own settings are unchanged.
+settings.register_profile(
+    "sostar", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("sostar")
 
 
 @pytest.fixture(scope="session")

@@ -697,6 +697,41 @@ def test_one_value_over_two_forms_is_equal_and_hashes_equal(cls):
 
 
 @_MATRIX_TYPES
+def test_hash_reads_the_form_and_builds_no_element(cls):
+    u = _RING[cls][2]
+    mixed = cls([[Fraction(1, 2), u * ExactScalar(1, 1)], [0, 3]])
+    for m in (cls.zeros(2, 3), cls.identity(3), mixed, (mixed + mixed) - mixed):
+        h, built = _built_elements(lambda: hash(m))
+        assert built == 0
+        assert h == hash(m)
+    assert hash((mixed + mixed) - mixed) == hash(mixed)
+
+
+@_MATRIX_TYPES
+@settings(deadline=None)
+@given(data=st.data())
+def test_forms_of_one_value_hash_alike(cls, data):
+    # the value over a multiple of its denominator and, when it is rational,
+    # in the irrational layout with zero sqrt2, sqrt3 and sqrt6 blocks
+    m = data.draw(_matrix(cls, data.draw(st.integers(1, 3)),
+                          data.draw(st.integers(1, 3))))
+    f = data.draw(st.integers(2, 30))
+    den, rows, rational = m._ints
+    pad = (0,) * (3 * len(cls._entry._fields))
+
+    def rebuilt(scale, padded):
+        return {i: {j: tuple(scale * x for x in t) + (pad if padded else ())
+                    for j, t in row.items()} for i, row in rows.items()}
+
+    forms = [(den * f, rebuilt(f, False), rational)]
+    if rational:
+        forms += [(den, rebuilt(1, True), False), (den * f, rebuilt(f, True), False)]
+    for form in forms:
+        twin = cls._from_form(m.rows, m.cols, form)
+        assert twin == m and hash(twin) == hash(m)
+
+
+@_MATRIX_TYPES
 def test_matrices_of_different_shapes_compare_unequal(cls):
     pairs = [(cls.zeros(2, 3), cls.zeros(3, 2)), (cls.identity(2), cls.identity(3)),
              (cls.zeros(1, 2), cls.zeros(1, 3)), (cls([[1, 0]]), cls([[1], [0]]))]

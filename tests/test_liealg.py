@@ -157,6 +157,145 @@ def test_structure_constants_build_no_bracket_element(realization, monkeypatch,
     assert built == []
 
 
+# -- the structure tensor on its integer form, against element-built tables
+
+def _solve_batch_table(basis):
+    """{(i, j): {k: ExactScalar}} for i < j from `linalg.solve_batch` on the
+    coordinates of the generators and brackets, built element by element."""
+    pairs, columns, targets = _dense_system(basis.generators)
+    table = {}
+    for pair, coeffs in zip(pairs, linalg.solve_batch(columns, targets)):
+        row = {k: v for k, v in enumerate(coeffs) if not v.is_zero()}
+        if row:
+            table[pair] = row
+    return table
+
+
+_TENSOR_BASES = pytest.mark.parametrize("name", [
+    "dense_sostar6", "sostar6", "spstar11", "slH2"])
+
+
+def _tensor_basis(name, dense_sostar6_basis):
+    if name == "dense_sostar6":
+        return LieBasis("fresh", "quaternionic", dense_sostar6_basis.generators)
+    return {"sostar6": lambda: generic_basis(SO_STAR, 3),
+            "spstar11": lambda: generic_basis(SP_STAR, 2, 1, 1),
+            "slH2": lambda: generic_basis(SL_H, 2)}[name]()
+
+
+@_TENSOR_BASES
+def test_tensor_reads_match_an_element_built_reference(name, dense_sostar6_basis):
+    basis = _tensor_basis(name, dense_sostar6_basis)
+    want = _solve_batch_table(basis)
+    tensor = structure_constants(basis)
+    assert tensor.table == want
+    zero = ExactScalar(0)
+    for i in range(tensor.dim):
+        for j in range(tensor.dim):
+            if i < j:
+                row = want.get((i, j), {})
+            else:
+                row = {k: -v for k, v in want.get((j, i), {}).items() if i != j}
+            assert tensor.row(i, j) == row
+            assert [tensor.get(i, j, k) for k in range(tensor.dim)] == [
+                row.get(k, zero) for k in range(tensor.dim)]
+    assert tensor.to_triplets() == [[i, j, k, want[i, j][k].to_json()]
+                                    for i, j in sorted(want)
+                                    for k in sorted(want[i, j])]
+
+
+@_TENSOR_BASES
+def test_tensor_from_its_table_has_the_identical_form(name, dense_sostar6_basis):
+    basis = _tensor_basis(name, dense_sostar6_basis)
+    table = _solve_batch_table(basis)
+    tensor = structure_constants(basis)
+    rebuilt = StructureTensor(tensor.dim, table)
+    assert rebuilt == tensor
+    assert rebuilt._form == tensor._form
+    # the one denominator is the lcm of the reduced coefficient denominators
+    assert tensor._form[0] == math.lcm(*(v._den for row in table.values()
+                                         for v in row.values()))
+
+
+def test_tensor_drops_zero_coefficients_and_empty_rows():
+    one, zero = ExactScalar(1), ExactScalar(0)
+    tensor = StructureTensor(3, {(0, 1): {2: one, 0: zero}, (0, 2): {1: zero}})
+    assert tensor == StructureTensor(3, {(0, 1): {2: one}})
+    assert tensor._form == (1, {(0, 1): {2: (1, 0, 0, 0)}})
+    assert StructureTensor(3, {(0, 2): {1: zero}}) == StructureTensor(3)
+
+
+@pytest.mark.parametrize("realization", ["quaternionic", "complex-exact"])
+def test_structure_constants_build_no_exact_scalar(realization, monkeypatch,
+                                                   dense_sostar6_basis):
+    basis = dense_sostar6_basis
+    if realization == COMPLEX_EXACT:
+        basis = basis.embedded()
+    basis = LieBasis("fresh", realization, basis.generators)  # no cached tensor
+    built = []
+    # `_from_ints` and every ExactScalar operation build through `_make`
+    original_make, original_init = scalars._make, ExactScalar.__init__
+
+    def counting_make(*args):
+        built.append(args)
+        return original_make(*args)
+
+    def counting_init(self, *args):
+        built.append(args)
+        original_init(self, *args)
+
+    monkeypatch.setattr(scalars, "_make", counting_make)
+    monkeypatch.setattr(ExactScalar, "__init__", counting_init)
+    scalars._from_ints(1, 0, 0, 0, 2)
+    ExactScalar(1)
+    assert len(built) == 2  # the counter sees both ways to build one
+    built.clear()
+    structure_constants(basis)
+    assert built == []
+
+
+def test_killing_matrix_reads_the_form_without_int_coords(dense_sostar6,
+                                                          monkeypatch):
+    want = _killing_matrix(dense_sostar6)
+
+    def int_coords(values):
+        raise AssertionError("linalg._int_coords was called")
+
+    monkeypatch.setattr(linalg, "_int_coords", int_coords)
+    assert _killing_matrix(dense_sostar6) == want
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_killing_of_the_dense_mixed_bases_inverts_only_rational_pivots(
+        seed, monkeypatch):
+    workloads = _perfbench_workloads()
+    bases = [LieBasis("dense", "quaternionic", gens)
+             for _, gens in workloads.DenseMixed(seed, None).prepare()]
+    for basis in bases:
+        basis.structure_constants()
+    inverted = []
+    original = ExactScalar.inverse
+    monkeypatch.setattr(ExactScalar, "inverse",
+                        lambda self: inverted.append(self) or original(self))
+    for basis in bases:
+        b = killing(basis)
+        assert any(not x.is_rational() for row in b.matrix for x in row)
+        n = (1 + math.isqrt(1 + 8 * basis.dim)) // 4  # dim so*(2n) = n(2n - 1)
+        assert workloads.check_dense(n, (basis.dim, b.signature))
+    assert inverted and all(x.is_rational() for x in inverted)
+
+
+def test_jacobi_fails_for_a_changed_coefficient(su31):
+    # negative control for the integer Jacobi sums
+    f = su31.structure_constants()
+    table = f.table
+    key = min(table)
+    k = min(table[key])
+    table[key][k] = table[key][k] * ExactScalar(1, 1)
+    assert f.jacobi_holds()
+    assert not StructureTensor(f.dim, table).jacobi_holds()
+
+
 def test_killing_data_is_computed_once_per_basis(monkeypatch):
     calls = []
     original = liealg.killing

@@ -311,6 +311,100 @@ def test_congruence_signature_of_hyperbolic_forms():
                                         [ZERO, ZERO, ZERO]]) == (1, 1, 1)
 
 
+# -- the pivot rule of congruence_signature: a rational diagonal pivot first
+
+def _first_nonzero_pivot_signature(sym):
+    """`congruence_signature` with the earlier pivot rule, for comparison:
+    a zero diagonal entry gives way to the first later nonzero one, rational
+    or not, and an irrational pivot is kept."""
+    n = len(sym)
+    m = [list(row) for row in sym]
+    n_minus = n_plus = n_zero = 0
+    for k in range(n):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][i].is_zero()), None)
+            if swap is not None:
+                linalg._sym_swap(m, k, swap)
+            else:
+                found = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                              if not m[i][j].is_zero()), None)
+                if found is None:
+                    n_zero += n - k
+                    break
+                i, j = found
+                if i != k:
+                    linalg._sym_swap(m, k, i)
+                linalg._sym_add(m, k, j)
+        pivot = m[k][k]
+        if pivot.sign() < 0:
+            n_minus += 1
+        else:
+            n_plus += 1
+        inv = pivot.inverse()
+        for i in range(k + 1, n):
+            factor = m[i][k] * inv
+            for j in range(k + 1, n):
+                m[i][j] = m[i][j] - factor * m[k][j]
+    return (n_minus, n_plus, n_zero)
+
+
+_PIVOT_ENTRIES = st.sampled_from([ExactScalar(-1), ZERO, ExactScalar(1), ExactScalar(2),
+                                  ExactScalar.sqrt2(), ExactScalar(1, 0, -1)])
+
+
+@st.composite
+def _symmetric(draw):
+    """A symmetric n x n matrix, 1 <= n <= 6, of the entries above; a third
+    of them have a zero diagonal from a drawn index on."""
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(_PIVOT_ENTRIES, min_size=n * n, max_size=n * n))
+    zero_from = draw(st.integers(0, n - 1)) if draw(st.integers(0, 2)) == 0 else n
+    return [[ZERO if i == j >= zero_from else cells[min(i, j) * n + max(i, j)]
+             for j in range(n)] for i in range(n)]
+
+
+@settings(deadline=None)
+@given(_symmetric())
+def test_rational_pivots_first_give_the_signature_of_the_first_nonzero_rule(m):
+    before = [list(row) for row in m]
+    assert linalg.congruence_signature(m) == _first_nonzero_pivot_signature(m)
+    assert m == before
+
+
+def _counting_inverses(monkeypatch):
+    """A list that records every value ExactScalar.inverse is called on."""
+    inverted = []
+    original = ExactScalar.inverse
+
+    def counting_inverse(self):
+        inverted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExactScalar, "inverse", counting_inverse)
+    ExactScalar(1, 1).inverse()
+    assert len(inverted) == 1  # the counter sees inverses
+    inverted.clear()
+    return inverted
+
+
+def test_killing_takes_the_rational_pivots_first(dense_sostar6_basis, monkeypatch):
+    # all but one diagonal entry of this Killing matrix is irrational; the
+    # rule inverts the rational pivots first and far fewer irrational ones
+    # than the first nonzero rule
+    basis = LieBasis("fresh", "quaternionic", dense_sostar6_basis.generators)
+    basis.structure_constants()
+    inverted = _counting_inverses(monkeypatch)
+    kd = killing(basis)
+    assert kd.signature == (9, 6, 0)
+    ours = [x.is_rational() for x in inverted]
+    inverted.clear()
+    assert _first_nonzero_pivot_signature(kd.matrix) == kd.raw_signature
+    theirs = [x.is_rational() for x in inverted]
+    assert sum(not kd.matrix[i][i].is_rational() for i in range(basis.dim)) == 14
+    assert ours == sorted(ours, reverse=True)  # no rational pivot after an irrational one
+    assert ours.count(False) < theirs.count(False)
+
+
 # -- the front ends of the one elimination kernel `linalg._eliminate`:
 # `rank`, `nullspace_basis`, the independence check of a LieBasis,
 # `commutant_dimension` and `CMatrix.inverse`
