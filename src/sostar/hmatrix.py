@@ -6,14 +6,15 @@ entry type: HMatrix entries are exact quaternions, CMatrix entries exact
 complex numbers (the 2x2 embedding of an HMatrix is a CMatrix).  Neither ever
 rounds.  A matrix's one state is its integer form (one common denominator
 and the int numerators of the nonzero entries), the integral-vector form of
-ExactScalar (Cohen, A Course in Computational Algebraic Number Theory,
-section 4.2) applied to the whole matrix.  Every operation and every exact
-predicate computes on it; elements are built only when they are read, and
-`to_json` builds one for each nonzero entry only, writing every zero entry of
-a document as one shared dict.  Float matrices, which only exponentials
-produce, are complex numpy arrays: `CMatrix.to_numpy` is the one crossing
-from exact to float, and only float comparisons take a tolerance, explicit,
-finite and nonnegative.
+the elements (Cohen, A Course in Computational Algebraic Number Theory,
+section 4.2) applied to the whole matrix: an irrational entry holds exactly
+the ints of its element over the form's denominator.  Every operation and
+every exact predicate computes on it; elements are built only when they are
+read, and `to_json` builds one for each nonzero entry only, writing every
+zero entry of a document as one shared dict.  Float matrices, which only
+exponentials produce, are complex numpy arrays: `CMatrix.to_numpy` is the
+one crossing from exact to float, and only float comparisons take a
+tolerance, explicit, finite and nonnegative.
 
 Conventions:
 
@@ -34,9 +35,9 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import linalg
-from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J
+from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J, _hamilton_mul
 from .scalars import (C_I, C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _ZERO4,
-                      _from_ints)
+                      _complex_mul, _from_ints, _normal)
 
 DEFAULT_TOL = 1e-9
 
@@ -51,9 +52,12 @@ DEFAULT_TOL = 1e-9
 # form holds one int per ring coordinate, k of them (k = 2 for complex, 4 for
 # quaternion entries).  Otherwise it holds four blocks of k ints, the rational
 # ring elements that multiply 1, sqrt2, sqrt3 and sqrt6, in that order, so
-# ring coordinate p over {1, sqrt2, sqrt3, sqrt6} is t[p::k].  Basis elements
-# u, v multiply to _FIELD_SQUARES[u & v] times element u ^ v (bit 0 stands for
-# sqrt2, bit 1 for sqrt3).  The dicts are never changed once built, so forms
+# ring coordinate p over {1, sqrt2, sqrt3, sqrt6} is t[p::k].  That is the
+# state of an element (`scalars._ExactElement`) over the form's den, so an
+# element enters a form by a rescale of its ints and leaves it by one
+# normalization, and entries and elements multiply by one int table per ring
+# (`_ring_mul`).  Basis elements u, v multiply to _FIELD_SQUARES[u & v] times
+# element u ^ v (bit 0 stands for sqrt2, bit 1 for sqrt3).  The dicts are never changed once built, so forms
 # share them freely.
 #
 # An entry of a product that received a single term is never zero, so only a
@@ -66,44 +70,27 @@ DEFAULT_TOL = 1e-9
 _FIELD_SQUARES = (1, 2, 3, 6)
 
 
-def _scalar(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
-    return _from_ints(a, b, c, d, den) if a or b or c or d else ZERO
-
-
-def _form(parts, items) -> tuple:
+def _form(k: int, items) -> tuple:
     """The integer form of the matrix with the element e at (i, j) for each
     pair ((i, j), e) of `items` and zero elsewhere; zero elements are
-    skipped.  `parts` gives an element's ExactScalar coordinates, and den is
-    the lcm of their denominators."""
-    nonzero = [(i, j, parts(e)) for (i, j), e in items if not e.is_zero()]
-    values = [s for _, _, ps in nonzero for s in ps]
-    den = math.lcm(*(s._den for s in values))
-    rational = all(s.is_rational() for s in values)
-    blocks = range(1) if rational else range(4)
+    skipped.  An element's ints are an irrational entry of the form over its
+    own denominator: den is the lcm of those, and a rational form keeps the
+    first k ints of each element only."""
+    nonzero = [(i, j, e) for (i, j), e in items if e]
+    den = math.lcm(*(e._den for _, _, e in nonzero))
+    rational = not any(any(e._num[k:]) for _, _, e in nonzero)
     rows = {}
-    for i, j, ps in nonzero:
-        t = tuple(s._num[u] * (den // s._den) for u in blocks for s in ps)
+    for i, j, e in nonzero:
+        t = e._num[:k] if rational else e._num
+        f = den // e._den
+        if f != 1:
+            t = tuple([f * z for z in t])
         row = rows.get(i)
         if row is None:
             rows[i] = {j: t}
         else:
             row[j] = t
     return den, rows, rational
-
-
-def _complex_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _hamilton_mul(x, y):
-    t1, x1, y1, z1 = x
-    t2, x2, y2, z2 = y
-    return (t1 * t2 - x1 * x2 - y1 * y2 - z1 * z2,
-            t1 * x2 + x1 * t2 + y1 * z2 - z1 * y2,
-            t1 * y2 - x1 * z2 + y1 * t2 + z1 * x2,
-            t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2)
 
 
 def _rational_rows(left, right, mul) -> dict:
@@ -193,7 +180,7 @@ def _product(a, b):
         rows = _rational_rows(left, right, cls._ring_mul)
     else:
         rows = _field_rows(a._blocked_rows(), b._blocked_rows(),
-                           len(cls._entry._fields), cls._ring_mul)
+                           cls._entry._k, cls._ring_mul)
     return cls._from_form(a.rows, b.cols, (dx * dy, rows, xrat and yrat))
 
 
@@ -269,8 +256,9 @@ class _ExactMatrix:
 
     A subclass names its ring by the entry type `_entry` with its `_zero` and
     `_one`, and by `_ring_mul`, the product of two rational entries of the
-    integer form (the complex or the Hamilton product table); the
-    ring-specific operations live on the subclass.
+    integer form (`scalars._complex_mul` or `quaternion._hamilton_mul`, the
+    table the entry type multiplies its own elements by); the ring-specific
+    operations live on the subclass.
 
     A matrix holds its shape (`rows`, `cols`) and its value, the integer form
     described above, and nothing else: every operation computes on the form
@@ -306,9 +294,9 @@ class _ExactMatrix:
             raise ValueError("ragged rows")
         _set_rows(self, len(grid))
         _set_cols(self, width)
-        _set_ints(self, _form(self._entry._parts, (((i, j), e)
-                                                   for i, row in enumerate(grid)
-                                                   for j, e in enumerate(row))))
+        _set_ints(self, _form(self._entry._k, (((i, j), e)
+                                               for i, row in enumerate(grid)
+                                               for j, e in enumerate(row))))
         _set_blocked(self, None)
 
     @classmethod
@@ -329,17 +317,16 @@ class _ExactMatrix:
         blocked = self._blocked
         if blocked is None:
             _, rows, rational = self._ints
-            blocked = _blocks(rows, rational, len(self._entry._fields))
+            blocked = _blocks(rows, rational, self._entry._k)
             _set_blocked(self, blocked)
         return blocked
 
     def _entry_of(self, t: tuple, den: int, rational: bool):
         """The element with the ints `t` of a form over `den`: the one place
-        where a form becomes elements."""
-        if rational:
-            return self._entry(*(_scalar(x, 0, 0, 0, den) for x in t))
-        k = len(self._entry._fields)
-        return self._entry(*(_scalar(*t[p::k], den) for p in range(k)))
+        where a form becomes elements.  A rational entry gets zero sqrt2,
+        sqrt3 and sqrt6 blocks."""
+        entry = self._entry
+        return _normal(entry, t + (0,) * (3 * entry._k) if rational else t, den)
 
     @property
     def entries(self) -> tuple:
@@ -362,7 +349,7 @@ class _ExactMatrix:
         """e times every entry, from the left, for one ring element e: the
         product of e times the identity with this matrix.  The identity
         keeps e only in the rows where this matrix has an entry."""
-        den, scalar, rational = _form(self._entry._parts, [((0, 0), e)])
+        den, scalar, rational = _form(self._entry._k, [((0, 0), e)])
         rows = self._ints[1]
         t = scalar[0][0] if scalar else None
         diag = {} if t is None else {i: {i: t} for i in rows}
@@ -384,7 +371,7 @@ class _ExactMatrix:
         items = [(rc, coerce(v)) for rc, v in entries.items()]
         if n < 1:
             raise ValueError(f"{cls.__name__} cannot be empty")
-        return cls._from_form(n, n, _form(cls._entry._parts, items))
+        return cls._from_form(n, n, _form(cls._entry._k, items))
 
     @classmethod
     def identity(cls, n: int):
@@ -415,8 +402,7 @@ class _ExactMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return self._like(_merge(self._ints, other._ints, op,
-                                 len(self._entry._fields)))
+        return self._like(_merge(self._ints, other._ints, op, self._entry._k))
 
     def __add__(self, other):
         return self._merged(other, add)
@@ -425,8 +411,7 @@ class _ExactMatrix:
         return self._merged(other, sub)
 
     def __neg__(self):
-        return self._like(_signed(self._ints,
-                                  (-1,) * len(self._entry._fields)))
+        return self._like(_signed(self._ints, (-1,) * self._entry._k))
 
     def transpose(self):
         """Plain transpose.  Not a homomorphism over the quaternions."""
@@ -473,7 +458,7 @@ class _ExactMatrix:
         as in `coords()`, each as its numerators over {1, sqrt2, sqrt3,
         sqrt6} over the common denominator den of the integer form."""
         den, rows, rational = self._ints
-        k = len(self._entry._fields)
+        k = self._entry._k
         width = self.cols * k
         out = {}
         for i, row in rows.items():
@@ -493,7 +478,7 @@ class _ExactMatrix:
         """Real coordinates in row-major order: (re, im) per complex entry,
         (t, x, y, z) per quaternion entry."""
         den, nonzero = self._coordinate_ints()
-        out = [ZERO] * (self.rows * self.cols * len(self._entry._fields))
+        out = [ZERO] * (self.rows * self.cols * self._entry._k)
         for i, c in nonzero.items():
             out[i] = _from_ints(*c, den)
         return out
@@ -514,7 +499,7 @@ class _ExactMatrix:
         layout, and the den and numerators are divided by their gcd, so the
         forms of one value hash alike and no element is built."""
         den, rows, rational = self._ints
-        k = len(self._entry._fields)
+        k = self._entry._k
         if not rational and not any(any(t[k:]) for row in rows.values()
                                     for t in row.values()):
             rows = {i: {j: t[:k] for j, t in row.items()} for i, row in rows.items()}
@@ -782,10 +767,14 @@ def is_sostar_algebra(a: HMatrix) -> bool:
 
 
 def is_spstar_group(a: HMatrix, p: int, q: int) -> bool:
-    """Membership in Sp*(p,q): preserves the quaternion-Hermitian form I_pq.
+    """Membership in Sp*(p,q): dagger(A) I_pq A = I_pq, exact, as in
+    `is_sostar_group`.
 
-    Also checks the equivalent characterization through the skew reversion
-    form j*I_pq; both are exact, as in `is_sostar_group`.  They force unit
+    That is equivalent to preserving the skew reversion form j*I_pq, so the
+    skew identity is not tested separately: reversion is rev(q) = j q* j^-1,
+    so rev_transpose(A) = j dagger(A) j^-1 (j times the identity on either
+    side), and rev_transpose(A) (j I_pq) A = j (dagger(A) I_pq A), which is
+    j I_pq exactly when dagger(A) I_pq A = I_pq.  Membership forces unit
     Study determinant: the complex image C has C^dagger F C = F for the
     invertible image F of I_pq, so |det C| = 1, and det C is real and
     nonnegative.
@@ -795,9 +784,7 @@ def is_spstar_group(a: HMatrix, p: int, q: int) -> bool:
     if p + q != a.rows:
         raise ValueError("p + q must equal the matrix size")
     form = i_pq(p, q)
-    jform = form.left_mul(Q_J)
-    return (a.dagger() @ form @ a == form
-            and a.rev_transpose() @ jform @ a == jform)
+    return a.dagger() @ form @ a == form
 
 
 def is_spstar_algebra(a: HMatrix, p: int, q: int) -> bool:

@@ -19,21 +19,29 @@ Equality is structural on the numerators and the denominator; there is no
 epsilon anywhere in this module.  The coordinates a, b, c, d read back as
 reduced Fractions.
 
-The exact number types (ExactScalar, ExactComplex here, Quaternion in
-`quaternion`) share one base, `_ExactElement`: immutability, one coercion rule
-(ints, Fractions and field scalars embed as the first coordinate),
-coordinate-wise + and - that return the other operand when one is zero,
-equality and hashing, JSON keyed by coordinate name and repr.  Each type
-writes out its own constructor, zero test and product; a product with a zero
-factor is that type's zero constant.  ExactScalar also writes out its own
-+, -, ==, hash and JSON on the integer numerators.
+The three exact number types (ExactScalar and ExactComplex here, Quaternion in
+`quaternion`) are vectors of k = 1, 2 and 4 coordinates over the field and
+share this one state, `_ExactElement`: 4k int numerators over one positive
+denominator in lowest terms, where numerator u*k + p is the part of
+coordinate p along the basis element u of 1, sqrt2, sqrt3, sqrt6.  That is
+exactly an irrational entry of the matrices' integer form (`hmatrix`).  The
+value semantics are written once on those ints: immutability, one coercion
+rule (ints, Fractions and field scalars embed as the first coordinate), + and
+- that return the other operand when one is zero, negation, equality and
+hashing, the zero test, JSON and repr.  The product of C and H runs on the
+ring's int table, the same one the matrices use (`_complex_mul` here,
+`quaternion._hamilton_mul`); a product with a zero factor is the type's zero
+constant.  ExactScalar adds only what is particular to the field: its
+Fraction constructor, the product with its rational fast path, the inverse,
+the exact sign and order, and the float value.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, attrgetter, neg, sub
+from itertools import chain
+from operator import add, attrgetter, mul, sub
 from typing import Union
 
 _SQRT2 = math.sqrt(2.0)
@@ -44,15 +52,20 @@ RationalLike = Union[int, Fraction]
 
 
 class _ExactElement:
-    """An immutable vector of coordinates named by the subclass's `_fields`.
+    """An immutable vector of k coordinates over Q(sqrt2, sqrt3), held as 4k
+    int numerators `_num` over one positive int denominator `_den`, in
+    lowest terms; numerator u*k + p is coordinate p along basis element u.
 
     A subclass sets `_fields` (the coordinate names, also the JSON keys),
-    `_parts = attrgetter(*_fields)` and `_part_from_json` (how one coordinate
-    is read back from JSON), and writes out `__init__` (which takes the
-    coordinates in field order), `is_zero` and `__mul__`.
+    `_k = len(_fields)`, `_parts = attrgetter(*_fields)` and
+    `_part_from_json` (how one coordinate is read back from JSON), and writes
+    out `__init__` and `__mul__`.  A ring over the field (k > 1) takes
+    `_ring_product` as its product and sets what it reads: `_ring_mul`, the
+    product of two rational elements' k ints, its `_terms` (`_table_terms`)
+    and the zero constant `_zero`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_num", "_den")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -77,44 +90,54 @@ class _ExactElement:
         return out
 
     # a zero operand short-circuits: most entries of the matrices here are 0
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
+    def _sum(self, other, op):
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        y = other._num
+        if not any(y):
             return self
-        if self.is_zero():
-            return other
-        return type(self)(*map(add, self._parts(self), self._parts(other)))
+        x = self._num
+        if not any(x):
+            return other if op is add else -other
+        e1, e2 = self._den, other._den
+        if e1 != e2:
+            x, y, e1 = [e2 * z for z in x], [e1 * z for z in y], e1 * e2
+        return _normal(type(self), tuple(map(op, x, y)), e1)
+
+    def __add__(self, other):
+        return self._sum(other, add)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        if self.is_zero():
-            return self
-        return type(self)(*map(neg, self._parts(self)))
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return -other
-        return type(self)(*map(sub, self._parts(self), self._parts(other)))
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        if not any(self._num):
+            return self
+        return _new(type(self), tuple([-z for z in self._num]), self._den)
+
+    def _signed(self, signs: tuple):
+        """The element with coordinate p times signs[p] (each +-1)."""
+        return _new(type(self), tuple(map(mul, signs * 4, self._num)), self._den)
+
+    def is_zero(self) -> bool:
+        return not any(self._num)
+
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self._num)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._parts(self) == self._parts(other)
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         # with every other coordinate zero an element equals its first
@@ -123,7 +146,8 @@ class _ExactElement:
         return hash(parts) if any(parts[1:]) else hash(parts[0])
 
     def to_json(self) -> dict:
-        return {name: v.to_json() for name, v in zip(self._fields, self._parts(self))}
+        k, num, den = self._k, self._num, self._den
+        return {name: _json_of(num[p::k], den) for p, name in enumerate(self._fields)}
 
     @classmethod
     def from_json(cls, obj: dict):
@@ -131,6 +155,40 @@ class _ExactElement:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self._parts(self)))})"
+
+
+_set_num = _ExactElement._num.__set__
+_set_den = _ExactElement._den.__set__
+_ZERO4 = (0, 0, 0, 0)
+
+
+def _new(cls, num: tuple, den: int):
+    """The element of type `cls` with the ints `num` over `den`, already in
+    lowest terms with den > 0."""
+    x = object.__new__(cls)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _normal(cls, num: tuple, den: int):
+    """The element of type `cls` with the ints `num` over `den` > 0, brought
+    to lowest terms."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = tuple([z // g for z in num]), den // g
+    return _new(cls, num, den)
+
+
+def _json_of(num, den: int) -> dict:
+    """The JSON of the field element num / den: each coordinate as the text
+    "numerator/denominator" of its reduced fraction, "0/1" for zero, printed
+    from the ints."""
+    out = {}
+    for name, x in zip("abcd", num):
+        g = math.gcd(x, den)
+        out[name] = f"{x // g}/{den // g}"
+    return out
 
 
 def _mul4(x, y):
@@ -144,17 +202,81 @@ def _mul4(x, y):
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
 
 
+def _ring_product(self, other):
+    """The product of two C or H elements: the ring's int table `_ring_mul`
+    when both are rational, else one `_mul4` per (p, q, r, op) term of that
+    table on the coordinates' int 4-tuples.  C is commutative, and a left
+    operand that is not a quaternion embeds as a real scalar, which is
+    central in H, so this is `__rmul__` as well."""
+    if type(other) is not type(self):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+    x, y = self._num, other._num
+    if not any(x) or not any(y):
+        return self._zero
+    k = self._k
+    if any(x[k:]) or any(y[k:]):
+        xs = [c if any(c) else None for c in (x[p::k] for p in range(k))]
+        ys = [c if any(c) else None for c in (y[q::k] for q in range(k))]
+        acc = [_ZERO4] * k
+        for p, q, r, op in self._terms:
+            if xs[p] and ys[q]:
+                acc[r] = tuple(map(op, acc[r], _mul4(xs[p], ys[q])))
+        num = tuple(chain.from_iterable(zip(*acc)))
+    else:
+        num = self._ring_mul(x[:k], y[:k]) + (0,) * (3 * k)
+    return _normal(type(self), num, self._den * other._den)
+
+
+def _complex_mul(x, y):
+    """The complex product of two rational elements' ints (re, im)."""
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _table_terms(ring_mul, k: int) -> tuple:
+    """The terms (p, q, r, op) of a ring's int table: e_p e_q = +-e_r on the
+    unit vectors, with op = add for + and sub for -."""
+    units = [tuple(int(i == p) for i in range(k)) for p in range(k)]
+    return tuple((p, q, r, add if s > 0 else sub)
+                 for p in range(k) for q in range(k)
+                 for r, s in enumerate(ring_mul(units[p], units[q])) if s)
+
+
+def _put(element: _ExactElement, parts: tuple) -> None:
+    """Set a C or H element's state from its coordinates (ints, Fractions or
+    field scalars), over the lcm of their denominators, which is already
+    lowest terms by the argument in `ExactScalar.__init__`."""
+    k = len(parts)
+    parts = [s if type(s) is ExactScalar else ExactScalar(s) for s in parts]
+    den = math.lcm(*(s._den for s in parts))
+    num = [0] * (4 * k)
+    for p, s in enumerate(parts):
+        f = den // s._den
+        num[p::k] = [f * z for z in s._num]
+    _set_num(element, tuple(num))
+    _set_den(element, den)
+
+
 def _coordinate(i: int, name: str) -> property:
     return property(lambda self: Fraction(self._num[i], self._den),
                     doc=f"The {name} coordinate, a reduced Fraction.")
+
+
+def _component(p: int, k: int, name: str) -> property:
+    return property(lambda self: _from_ints(*self._num[p::k], self._den),
+                    doc=f"The {name} coordinate, an ExactScalar built on each read.")
 
 
 class ExactScalar(_ExactElement):
     """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3), held as
     int numerators over one positive int denominator in lowest terms."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
     _fields = ("a", "b", "c", "d")
+    _k = 1
     _parts = attrgetter(*_fields)
     _part_from_json = Fraction
 
@@ -191,53 +313,7 @@ class ExactScalar(_ExactElement):
     def sqrt6(cls) -> "ExactScalar":
         return cls(0, 0, 0, 1)
 
-    # -- ring/field operations --------------------------------------------
-
-    def __add__(self, other) -> "ExactScalar":
-        if type(other) is not ExactScalar:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        y = other._num
-        if y == _ZERO4:
-            return self
-        x = self._num
-        if x == _ZERO4:
-            return other
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = y
-        e1, e2 = self._den, other._den
-        if e1 == e2:
-            return _from_ints(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
-        return _from_ints(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
-                          c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ExactScalar":
-        if type(other) is not ExactScalar:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        y = other._num
-        if y == _ZERO4:
-            return self
-        x = self._num
-        if x == _ZERO4:
-            return -other
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = y
-        e1, e2 = self._den, other._den
-        if e1 == e2:
-            return _from_ints(a1 - a2, b1 - b2, c1 - c2, d1 - d2, e1)
-        return _from_ints(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1,
-                          c1 * e2 - c2 * e1, d1 * e2 - d2 * e1, e1 * e2)
-
-    def __neg__(self) -> "ExactScalar":
-        a, b, c, d = self._num
-        if not (a or b or c or d):
-            return self
-        return _make((-a, -b, -c, -d), self._den)
+    # -- field operations ----------------------------------------------------
 
     def __mul__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
@@ -282,36 +358,10 @@ class ExactScalar(_ExactElement):
         other = self._coerce(other)
         return other if other is NotImplemented else other * self.inverse()
 
-    # -- value semantics ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ExactScalar:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self._num == other._num and self._den == other._den
-
-    def __hash__(self) -> int:
-        # a rational value hashes like its Fraction (or int), as the base does
-        a, b, c, d = self._num
-        if b or c or d:
-            return hash(self._parts(self))
-        return hash(a) if self._den == 1 else hash(Fraction(a, self._den))
-
     def to_json(self) -> dict:
-        """Each coordinate as the text "numerator/denominator" of its reduced
-        fraction, "0/1" for zero, printed from the ints."""
-        den = self._den
-        out = {}
-        for name, x in zip(self._fields, self._num):
-            g = math.gcd(x, den)
-            out[name] = f"{x // g}/{den // g}"
-        return out
+        return _json_of(self._num, self._den)
 
     # -- predicates, order, conversions -------------------------------------
-
-    def is_zero(self) -> bool:
-        return self._num == _ZERO4
 
     def is_rational(self) -> bool:
         _, b, c, d = self._num
@@ -360,11 +410,6 @@ class ExactScalar(_ExactElement):
             if coeff:
                 parts.append(f"{coeff}{tag}")
         return "ExactScalar(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-_ZERO4 = (0, 0, 0, 0)
-_set_num = ExactScalar._num.__set__
-_set_den = ExactScalar._den.__set__
 
 
 def _make(num: tuple, den: int) -> ExactScalar:
@@ -427,39 +472,35 @@ ZERO = ExactScalar(0)
 
 
 class ExactComplex(_ExactElement):
-    """Complex number with ExactScalar real and imaginary parts."""
+    """Complex number re + im*i with real and imaginary parts in
+    Q(sqrt2, sqrt3), each read as an ExactScalar."""
 
-    __slots__ = _fields = ("re", "im")
+    __slots__ = ()
+    _fields = ("re", "im")
+    _k = 2
     _parts = attrgetter(*_fields)
     _part_from_json = ExactScalar.from_json
+    _ring_mul = staticmethod(_complex_mul)
+    _terms = _table_terms(_complex_mul, 2)
+    __mul__ = __rmul__ = _ring_product
+
+    re = _component(0, 2, "real")
+    im = _component(1, 2, "imaginary")
 
     def __init__(self, re=0, im=0) -> None:
-        object.__setattr__(self, "re", re if isinstance(re, ExactScalar) else ExactScalar(re))
-        object.__setattr__(self, "im", im if isinstance(im, ExactScalar) else ExactScalar(im))
-
-    def __mul__(self, other) -> "ExactComplex":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return C_ZERO
-        return ExactComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
+        _put(self, (re, im))
 
     def conj(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return self._signed((1, -1))
 
     def norm_sq(self) -> ExactScalar:
-        return self.re * self.re + self.im * self.im
+        return (self * self.conj()).re
 
     def inverse(self) -> "ExactComplex":
         n = self.norm_sq()
         if n.is_zero():
             raise ZeroDivisionError("ExactComplex division by zero")
-        inv = n.inverse()
-        return ExactComplex(self.re * inv, -(self.im * inv))
+        return self.conj() * n.inverse()
 
     def __truediv__(self, other) -> "ExactComplex":
         other = self._coerce(other)
@@ -469,13 +510,10 @@ class ExactComplex(_ExactElement):
         other = self._coerce(other)
         return other if other is NotImplemented else other * self.inverse()
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
 
-C_ZERO = ExactComplex(0)
+C_ZERO = ExactComplex._zero = ExactComplex(0)
 C_ONE = ExactComplex(1)
 C_I = ExactComplex(0, 1)

@@ -158,10 +158,6 @@ def apply_triality(quartets: TrialityQuartets, rep: SpinRep) -> SpinRep:
 _I26 = CMatrix.diag([1, 1] + [-1] * 6)
 
 
-def signature_form_26() -> CMatrix:
-    return _I26
-
-
 def is_real_matrix(m: CMatrix) -> bool:
     return m.conj() == m
 

@@ -179,6 +179,13 @@ _EXPORT_SHA256 = {
     # irrational coordinates (sqrt2, sqrt3, sqrt6) in the generators
     ("--family", "sostar6quat"):
         "c07887352d2afbbe038620e6d233c36ec768b2adbcf3f6fd73d1b005fefc2ca6",
+    # complex entries with irrational coordinates
+    ("--family", "su31"):
+        "8fa5892cfd35e645bcac1e75fc6893727731120dfde2bb42391873281ae6cc2b",
+    ("--family", "sostar6complex"):
+        "d108addae111ec7d25edce8520df3a8a1e47146f448be818cf5b93d50e09199a",
+    ("--family", "sostar8V"):
+        "f77e3ad84c82e57e6dc82dcae16eef333f8e5458d25b24ed9b44002e1bfb8123",
 }
 
 

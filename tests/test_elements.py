@@ -1,9 +1,10 @@
 """The value contract shared by the three exact number types.
 
-ExactScalar, ExactComplex and Quaternion share one base, so each contract
-below is checked on all three: immutability, the coercion of ints, Fractions
-and field scalars, JSON, the zero-operand short-cuts, and the ring operations
-against coordinate formulas written out here.
+ExactScalar, ExactComplex and Quaternion share one base and one integer
+state, so each contract below is checked on all three: the state itself,
+immutability, the coercion of ints, Fractions and field scalars, JSON, the
+zero-operand short-cuts, and the ring operations against coordinate formulas
+written out here.
 """
 
 import json
@@ -12,8 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sostar import quaternion, scalars
+from sostar.hmatrix import CMatrix, HMatrix
 from sostar.quaternion import Q_ZERO, Quaternion
-from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar
+from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar, _ExactElement
 
 _SLOTS = {ExactScalar: ["a", "b", "c", "d"], ExactComplex: ["re", "im"],
           Quaternion: ["t", "x", "y", "z"]}
@@ -35,6 +38,60 @@ def _sample(cls):
     if cls is ExactScalar:
         return ExactScalar(1, Fraction(-1, 2), 3, Fraction(2, 3))
     return cls(*(ExactScalar(k, 1) for k in range(1, len(_SLOTS[cls]) + 1)))
+
+
+@_TYPES
+def test_element_holds_one_integer_state(cls):
+    # 4k int numerators over one denominator, numerator u*k + p being the
+    # part of coordinate p along basis element u of 1, sqrt2, sqrt3, sqrt6
+    x, k = _sample(cls), 1 if cls is ExactScalar else len(_SLOTS[cls])
+    assert not hasattr(x, "__dict__")
+    assert {name for c in cls.__mro__ for name in getattr(c, "__slots__", ())} \
+        == {"_num", "_den"}
+    assert len(x._num) == 4 * k and all(type(z) is int for z in x._num)
+    parts = [x] if cls is ExactScalar else [getattr(x, name) for name in _SLOTS[cls]]
+    for p, part in enumerate(parts):
+        for u, coord in enumerate((part.a, part.b, part.c, part.d)):
+            assert Fraction(x._num[u * k + p], x._den) == coord
+
+
+def test_exact_scalar_keeps_no_value_semantics_of_its_own():
+    for name in ("__add__", "__sub__", "__neg__", "__eq__", "__hash__"):
+        assert name not in ExactScalar.__dict__
+
+
+def test_elements_and_matrices_share_one_table_per_ring():
+    assert CMatrix._ring_mul is ExactComplex._ring_mul is scalars._complex_mul
+    assert HMatrix._ring_mul is Quaternion._ring_mul is quaternion._hamilton_mul
+
+
+def test_ring_products_make_no_field_scalar_operation(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def counted(self, other):
+            if type(self) is ExactScalar:
+                calls.append(name)
+            return original(self, other)
+        return counted
+
+    for owner, names in ((ExactScalar, ("__mul__", "__rmul__")),
+                         (_ExactElement, ("__add__", "__radd__", "__sub__"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, counting(name, owner.__dict__[name]))
+    ExactScalar(1, 1) * ExactScalar(2)
+    ExactScalar(1) + ExactScalar(0, 1)
+    assert calls == ["__mul__", "__add__"]  # the counter sees both
+    calls.clear()
+    for cls in (ExactComplex, Quaternion):
+        irrational = _sample(cls)
+        rational = cls(*range(1, len(_SLOTS[cls]) + 1))
+        for x, y in ((irrational, irrational), (irrational, rational),
+                     (rational, rational)):
+            x * y
+            y * x
+        rational * ExactScalar(1, 1)
+    assert calls == []
 
 
 @_TYPES

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sostar.bases import generic_basis, SP_STAR, SO_STAR
+from sostar.bases import generic_basis, SL_H, SP_STAR, SO_STAR
 from sostar.liealg import bracket
 from sostar.hmatrix import (CMatrix, HMatrix, _ExactMatrix,
                             embedded_quaternionic_structure,
-                            from_blocks, i_pq, is_sostar_algebra, is_sostar_group,
+                            from_blocks, i_pq, is_slh_algebra, is_sostar_algebra,
+                            is_sostar_group,
                             is_sostar_group_embedded, is_spstar_algebra,
                             is_spstar_group, is_su_group_embedded, max_abs_diff,
                             kron, quaternionic_structure_commutant_check)
-from sostar.quaternion import Q_I, Q_J, Q_ONE, Q_ZERO, Quaternion
+from sostar.quaternion import Q_I, Q_J, Q_K, Q_ONE, Q_ZERO, Quaternion
 from sostar.scalars import C_I, C_ONE, C_ZERO, ExactComplex, ExactScalar
 
 
@@ -166,6 +167,70 @@ def test_spstar_membership_examples():
     assert is_spstar_algebra(HMatrix([[Q_I]]), 1, 0)
     with pytest.raises(ValueError):
         is_spstar_group(HMatrix.identity(3), 1, 1)
+
+
+# cosh and sinh of an exact hyperbolic angle: 5/3 and 4/3
+_COSH_SINH = (Fraction(5, 3), Fraction(4, 3))
+
+
+@st.composite
+def _spstar_candidates(draw):
+    """(A, p, q, member) with p + q <= 3.  A member (member True) is a
+    product of (3/5, 4/5) rotations of a plane inside one sign block of
+    I_pq, (5/3, 4/3) boosts of a plane across the blocks and unit quaternion
+    phases c + s u (u = i, j or k) on one diagonal entry.  A non-member
+    (member False) is such a product scaled by 5/4.  Otherwise A is an
+    arbitrary matrix of `_matrix` (member None)."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["member", "scaled", "arbitrary"]))
+    if kind == "arbitrary":
+        return draw(_matrix(HMatrix, n, n)), p, n - p, None
+    a = HMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 5))):
+        entries = {(i, i): 1 for i in range(n)}
+        if n > 1 and draw(st.booleans()):
+            x, y = sorted(draw(st.permutations(range(n)))[:2])
+            if (x < p) == (y < p):
+                c, s = _COS_SIN
+                entries.update({(x, x): c, (y, y): c, (x, y): -s, (y, x): s})
+            else:
+                ch, sh = _COSH_SINH
+                entries.update({(x, x): ch, (y, y): ch, (x, y): sh, (y, x): sh})
+        else:
+            c, s = draw(st.sampled_from([_COS_SIN, _COS_SIN[::-1], (0, 1)]))
+            unit = draw(st.sampled_from([Q_I, Q_J, Q_K]))
+            entries[(draw(st.integers(0, n - 1)),) * 2] = unit.scale(s) + c
+        a = HMatrix.sparse(n, entries) @ a
+    if kind == "scaled":
+        return a.scale(Fraction(5, 4)), p, n - p, False
+    return a, p, n - p, True
+
+
+@settings(deadline=None)
+@given(_spstar_candidates())
+def test_hermitian_and_skew_spstar_identities_agree(case):
+    # rev_transpose(A) (j I_pq) A = j (dagger(A) I_pq A), so is_spstar_group
+    # tests the Hermitian identity alone
+    a, p, q, member = case
+    form = i_pq(p, q)
+    jform = form.left_mul(Q_J)
+    hermitian = a.dagger() @ form @ a == form
+    assert (a.rev_transpose() @ jform @ a == jform) == hermitian
+    assert is_spstar_group(a, p, q) == hermitian
+    if member is not None:
+        assert hermitian == member
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slh_generators_are_members(n):
+    assert all(is_slh_algebra(g) for g in generic_basis(SL_H, n).generators)
+
+
+def test_slh_rejects_a_real_trace_and_a_non_square_matrix():
+    assert not is_slh_algebra(HMatrix.diag([Quaternion(1), Quaternion(0)]))
+    with pytest.raises(ValueError):
+        is_slh_algebra(HMatrix([[Q_I, Q_J]]))
 
 
 def test_spstar_algebra_embeds_into_unitary_and_symplectic():

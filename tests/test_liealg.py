@@ -149,9 +149,19 @@ def test_structure_constants_build_no_bracket_element(realization, monkeypatch,
             _original(self, *args)
 
         monkeypatch.setattr(entry_type, "__init__", counting_init)
+    # an element read from a form or made by an operation is built by `_new`
+    original_new = scalars._new
+
+    def counting_new(cls, *args):
+        if cls is not ExactScalar:
+            built.append(cls)
+        return original_new(cls, *args)
+
+    monkeypatch.setattr(scalars, "_new", counting_new)
     Quaternion(1)
     ExactComplex(1)
-    assert built == [Quaternion, ExactComplex]  # the counter sees elements
+    HMatrix([[Q_J]]).entries
+    assert built == [Quaternion, ExactComplex, Quaternion]  # the counter sees elements
     built.clear()
     assert basis.structure_constants().table
     assert built == []
@@ -233,22 +243,31 @@ def test_structure_constants_build_no_exact_scalar(realization, monkeypatch,
         basis = basis.embedded()
     basis = LieBasis("fresh", realization, basis.generators)  # no cached tensor
     built = []
-    # `_from_ints` and every ExactScalar operation build through `_make`
-    original_make, original_init = scalars._make, ExactScalar.__init__
+    # `_from_ints` and the scalar product build through `_make`, the value
+    # semantics shared with C and H through `_new`
+    original_make, original_new = scalars._make, scalars._new
+    original_init = ExactScalar.__init__
 
     def counting_make(*args):
         built.append(args)
         return original_make(*args)
+
+    def counting_new(cls, *args):
+        if cls is ExactScalar:
+            built.append(args)
+        return original_new(cls, *args)
 
     def counting_init(self, *args):
         built.append(args)
         original_init(self, *args)
 
     monkeypatch.setattr(scalars, "_make", counting_make)
+    monkeypatch.setattr(scalars, "_new", counting_new)
     monkeypatch.setattr(ExactScalar, "__init__", counting_init)
     scalars._from_ints(1, 0, 0, 0, 2)
     ExactScalar(1)
-    assert len(built) == 2  # the counter sees both ways to build one
+    -ExactScalar.sqrt2()
+    assert len(built) == 4  # the counter sees each way to build one
     built.clear()
     structure_constants(basis)
     assert built == []

@@ -78,13 +78,17 @@ def test_norm_is_conj_product(q):
     assert q.norm_sq().sign() >= 0
 
 
+def _embedded(q):
+    return HMatrix([[q]]).embed().entries
+
+
 def test_embed_examples():
-    ident = [[ExactComplex(1), ExactComplex(0)], [ExactComplex(0), ExactComplex(1)]]
-    assert Q_ONE.embed() == ident
-    assert Q_J.embed() == [[ExactComplex(0), ExactComplex(-1)],
-                           [ExactComplex(1), ExactComplex(0)]]
-    assert Q_K.embed() == [[ExactComplex(0, 1), ExactComplex(0)],
-                           [ExactComplex(0), ExactComplex(0, -1)]]
+    ident = ((ExactComplex(1), ExactComplex(0)), (ExactComplex(0), ExactComplex(1)))
+    assert _embedded(Q_ONE) == ident
+    assert _embedded(Q_J) == ((ExactComplex(0), ExactComplex(-1)),
+                              (ExactComplex(1), ExactComplex(0)))
+    assert _embedded(Q_K) == ((ExactComplex(0, 1), ExactComplex(0)),
+                              (ExactComplex(0), ExactComplex(0, -1)))
 
 
 @given(quats, quats)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sostar.scalars
+from sostar.hmatrix import CMatrix, HMatrix
 from sostar.quaternion import Quaternion
 from sostar.scalars import ZERO, ExactComplex, ExactScalar, _from_ints
 
@@ -330,11 +331,15 @@ def test_flipped_product_table_is_caught(dense_sostar6_basis):
 
 # ---------------------------------------------------------------------------
 # Canonical form: int numerators over a positive denominator, gcd 1, and one
-# representation of zero.
+# representation of zero, for all three element types.
 # ---------------------------------------------------------------------------
 
-def assert_canonical(x: ExactScalar):
+_COORDINATES = {ExactScalar: 1, ExactComplex: 2, Quaternion: 4}
+
+
+def assert_canonical(x):
     num, den = x._num, x._den
+    assert len(num) == 4 * _COORDINATES[type(x)]
     assert all(type(v) is int for v in num) and type(den) is int
     assert den > 0 and math.gcd(*num, den) == 1
     if not any(num):
@@ -346,6 +351,30 @@ def test_results_are_canonical(x, y):
     results = [x, y, x + y, x - y, x * y, -x, y - y, x * 0]
     if not y.is_zero():
         results += [y.inverse(), x / y]
+    for z in results:
+        assert_canonical(z)
+
+
+# coordinates with irrational parts, or zero so that the short-cuts run
+_field = st.one_of(st.just(ZERO), scalars)
+_RINGS = {ExactComplex: st.builds(ExactComplex, _field, _field),
+          Quaternion: st.builds(Quaternion, _field, _field, _field, _field)}
+_MATRICES = {ExactComplex: CMatrix, Quaternion: HMatrix}
+
+
+@pytest.mark.parametrize("cls", list(_RINGS), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_ring_results_are_canonical(cls, data):
+    x, y = data.draw(_RINGS[cls]), data.draw(_RINGS[cls])
+    s = data.draw(scalars)
+    results = [x, y, x + y, x - y, x * y, y * x, -x, y - y, x * 0, x * s,
+               s - x, x.conj()]
+    if cls is ExactComplex and not y.is_zero():
+        results += [y.inverse(), x / y]
+    # elements read back from a matrix's integer form, over its common den
+    matrix = _MATRICES[cls]
+    results += matrix([[x, y]]).entries[0]
+    results.append((matrix([[x]]) @ matrix([[y]])).entries[0][0])
     for z in results:
         assert_canonical(z)
 
