@@ -346,12 +346,20 @@ class _ExactMatrix:
         return self._from_form(self.rows, self.cols, form)
 
     def _left_scaled(self, e):
-        """e times every entry, from the left, for one ring element e: the
-        product of e times the identity with this matrix.  The identity
-        keeps e only in the rows where this matrix has an entry."""
+        """e times every entry, from the left, for one ring element e, over
+        the product of the two denominators.  When e and this matrix are
+        both rational, each entry is one `_ring_mul` of e's ints and its own
+        (e on the left: H is not commutative), which cannot vanish because
+        the ring has no zero divisors.  Otherwise this is the product of e
+        times the identity with this matrix; the identity keeps e only in
+        the rows where this matrix has an entry."""
         den, scalar, rational = _form(self._entry._k, [((0, 0), e)])
-        rows = self._ints[1]
+        dx, rows, xrat = self._ints
         t = scalar[0][0] if scalar else None
+        if rational and xrat:
+            mul = self._ring_mul
+            return self._like((den * dx, {i: {j: mul(t, y) for j, y in row.items()}
+                                          for i, row in rows.items()} if scalar else {}, True))
         diag = {} if t is None else {i: {i: t} for i in rows}
         return _product(self._from_form(self.rows, self.rows, (den, diag, rational)),
                         self)

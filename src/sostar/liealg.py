@@ -29,13 +29,15 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from . import linalg
 from .hmatrix import CMatrix, HMatrix, from_blocks, kron
-from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints, _mul4
+from .scalars import (ZERO, ExactComplex, ExactScalar, _field_mul, _from_ints, _mul4,
+                      _table_terms)
 
 QUATERNIONIC = "quaternionic"
 COMPLEX_EXACT = "complex-exact"
@@ -135,7 +137,8 @@ class StructureTensor:
     forms are.  `StructureTensor(dim, table)` takes {(i, j): {k:
     ExactScalar}} and drops its zeros.  Elements are built only when read:
     `table`, `get`, `row` and `to_triplets` build the ones they return on
-    each read, and `jacobi_holds` runs on the ints.
+    each read.  `jacobi_holds` and `preserved_by` (does a change of basis
+    carry the tensor to itself?) run on the ints.
     """
 
     def __init__(self, dim: int, table: dict | None = None) -> None:
@@ -209,6 +212,57 @@ class StructureTensor:
                                 acc[l] = p if cur is None else tuple(map(add, cur, p))
                     if any(any(v) for v in acc.values()):
                         return False
+        return True
+
+    def preserved_by(self, p) -> bool:
+        """True iff the n x n matrix p carries this tensor to itself:
+        sum_ab p_ia p_jb f[a,b,c] = sum_k f[i,j,k] p_kc for every i < j and
+        every c.  Then g'_i = sum_a p_ia g_a satisfy [g'_i, g'_j] = sum_k
+        f[i,j,k] g'_k, since the commutator is bilinear over commuting
+        coefficients (p is a CMatrix, or has real entries).  Reads the
+        tensor's integer form and p's and builds no element: on plain ints
+        and p's ring table `_ring_mul` when both forms are rational, else on
+        the coordinates' int 4-tuples with `_mul4` (`scalars._field_mul`),
+        each f[a,b,c] lifted into p's ring.  The left side lies over
+        den_p^2 den and the right one over den_p den, so the right one's
+        numerators are multiplied by den_p.  Raises ValueError if
+        p is not n x n."""
+        n = self.dim
+        if (p.rows, p.cols) != (n, n):
+            raise ValueError(f"a {p.rows}x{p.cols} map on a tensor of dimension {n}")
+        rows = self._form[1]
+        dp, prows, prational = p._ints
+        k = p._entry._k
+        if prational and not any(any(t[1:]) for row in rows.values() for t in row.values()):
+            mul, lift, zero = p._ring_mul, (lambda t: t[:1] + zero[1:]), (0,) * k
+        else:
+            mul = partial(_field_mul, k=k, terms=_table_terms(p._ring_mul, k))
+            lift = lambda t: tuple(chain.from_iterable((z,) + zero[1:k] for z in t))
+            zero = (0,) * (4 * k)
+            if prational:
+                prows = {i: {a: t + zero[k:] for a, t in row.items()}
+                         for i, row in prows.items()}
+        full = {}
+        for (a, b), row in rows.items():
+            full[a, b] = {c: lift(t) for c, t in row.items()}
+            full[b, a] = {c: tuple(-z for z in v) for c, v in full[a, b].items()}
+        empty = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                acc = {}
+                pj = prows.get(j, empty).items()
+                for a, x in prows.get(i, empty).items():
+                    for b, y in pj:
+                        frow = full.get((a, b))
+                        if frow:
+                            for c, f in frow.items():
+                                acc[c] = tuple(map(add, acc.get(c, zero), mul(f, mul(x, y))))
+                for m, f in full.get((i, j), empty).items():
+                    for c, y in prows.get(m, empty).items():
+                        acc[c] = tuple(map(sub, acc.get(c, zero),
+                                           [dp * z for z in mul(f, y)]))
+                if any(any(v) for v in acc.values()):
+                    return False
         return True
 
     def to_triplets(self) -> list:

@@ -204,10 +204,9 @@ def _mul4(x, y):
 
 def _ring_product(self, other):
     """The product of two C or H elements: the ring's int table `_ring_mul`
-    when both are rational, else one `_mul4` per (p, q, r, op) term of that
-    table on the coordinates' int 4-tuples.  C is commutative, and a left
-    operand that is not a quaternion embeds as a real scalar, which is
-    central in H, so this is `__rmul__` as well."""
+    when both are rational, else `_field_mul` on that table's terms.  C is
+    commutative, and a left operand that is not a quaternion embeds as a
+    real scalar, which is central in H, so this is `__rmul__` as well."""
     if type(other) is not type(self):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -217,16 +216,24 @@ def _ring_product(self, other):
         return self._zero
     k = self._k
     if any(x[k:]) or any(y[k:]):
-        xs = [c if any(c) else None for c in (x[p::k] for p in range(k))]
-        ys = [c if any(c) else None for c in (y[q::k] for q in range(k))]
-        acc = [_ZERO4] * k
-        for p, q, r, op in self._terms:
-            if xs[p] and ys[q]:
-                acc[r] = tuple(map(op, acc[r], _mul4(xs[p], ys[q])))
-        num = tuple(chain.from_iterable(zip(*acc)))
+        num = _field_mul(x, y, k, self._terms)
     else:
         num = self._ring_mul(x[:k], y[:k]) + (0,) * (3 * k)
     return _normal(type(self), num, self._den * other._den)
+
+
+def _field_mul(x, y, k: int, terms) -> tuple:
+    """The product of two ring elements' 4k ints x and y (numerator u*k + p
+    is coordinate p along basis element u): one `_mul4` on the coordinates'
+    int 4-tuples per term (p, q, r, op) of the ring's table `terms` whose
+    coordinates are both nonzero."""
+    xs = [c if any(c) else None for c in (x[p::k] for p in range(k))]
+    ys = [c if any(c) else None for c in (y[q::k] for q in range(k))]
+    acc = [_ZERO4] * k
+    for p, q, r, op in terms:
+        if xs[p] and ys[q]:
+            acc[r] = tuple(map(op, acc[r], _mul4(xs[p], ys[q])))
+    return tuple(chain.from_iterable(zip(*acc)))
 
 
 def _complex_mul(x, y):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sostar import cli, isogeny, triality
+from sostar import cli, isogeny, liealg, triality
 from sostar.report import VerificationReport
 
 
@@ -81,6 +81,27 @@ def test_verify_runs_a_verifier_rebound_in_every_module(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "sostar2", "--tol", "1e-6"]) == 0
     capsys.readouterr()
     assert calls == [1e-6]
+
+
+def test_verify_all_expands_each_distinct_generator_tuple_once(monkeypatch,
+                                                              capsys):
+    """Triality expands V alone, and the tables expand a member whose
+    generators an earlier member has (sp*(n,0) after sp*(0,n), sl(1,H)
+    after sp*(1)) no second time: 19 expansions, 25 before."""
+    expanded = []
+    original = liealg.structure_constants
+
+    def counting(basis):
+        expanded.append((basis.name, basis.realization, tuple(basis.generators)))
+        return original(basis)
+
+    monkeypatch.setattr(liealg, "structure_constants", counting)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    tuples = [(realization, gens) for _, realization, gens in expanded]
+    assert len(tuples) == len(set(tuples)) == 19
+    assert [name for name, _, _ in expanded if name.startswith("sostar8")] == [
+        "sostar8_V"]
 
 
 def test_verify_exit_two_on_unwritable_report_path(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sostar import hmatrix
 from sostar.bases import generic_basis, SL_H, SP_STAR, SO_STAR
 from sostar.liealg import bracket
 from sostar.hmatrix import (CMatrix, HMatrix, _ExactMatrix,
@@ -587,6 +588,38 @@ def test_integer_kernel_matches_the_elementwise_reference(ops):
         assert cancelled == cls.zeros(a.rows, a.cols)
     for m in (a, b, ab):
         _assert_reshaped_like_the_entries(m)
+
+
+@st.composite
+def _scaling_operands(draw, cls):
+    """(m, e): a matrix and one element of its ring, each with rational or
+    irrational coordinates; every coordinate of e is drawn, so a quaternion
+    e is in general not central."""
+    m = draw(_matrix(cls, draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    scalar = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+    e = cls._entry(*(draw(scalar) for _ in range(cls._entry._k)))
+    return m, draw(st.sampled_from([e, cls._zero]))
+
+
+@settings(deadline=None)
+@given(st.one_of(_scaling_operands(HMatrix), _scaling_operands(CMatrix)))
+def test_left_scaling_matches_the_product_with_a_diagonal(ops):
+    m, e = ops
+    want = hmatrix._product(type(m).diag([e] * m.rows), m)
+    products = []
+    original = hmatrix._product
+
+    def counting(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmatrix, "_product", counting)
+        got = m._left_scaled(e)
+    assert got._ints == want._ints
+    _assert_matches(got, want)
+    rational = not any(e._num[type(m)._entry._k:]) and m._ints[2]
+    assert len(products) == (0 if rational else 1)
 
 
 # -- the integer form handed over, against a dense scan of the entries ---------

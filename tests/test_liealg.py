@@ -315,6 +315,41 @@ def test_jacobi_fails_for_a_changed_coefficient(su31):
     assert not StructureTensor(f.dim, table).jacobi_holds()
 
 
+def _mapped_tensor(basis, p):
+    """The structure tensor of g'_i = sum_a p_ia g_a for a real map p,
+    expanded from the mapped generators."""
+    gens = [sum((g.scale(c.re) for c, g in zip(row, basis.generators) if c),
+                basis.generators[0].scale(0)) for row in p.entries]
+    return structure_constants(LieBasis("mapped", basis.realization, gens))
+
+
+def test_a_rotation_over_sqrt3_preserves_the_sp1_tensor_and_a_reflection_not():
+    basis = generic_basis(SP_STAR, 1, 0, 1)  # i, j, k: su(2)
+    tensor = basis.structure_constants()
+    cos, sin = ExactScalar(0, 0, Fraction(1, 2)), Fraction(1, 2)  # 30 degrees
+    rotation = CMatrix([[cos, sin, 0], [-sin, cos, 0], [0, 0, 1]])
+    reflection = CMatrix.diag([1, 1, -1])
+    assert not rotation._ints[2]  # the coefficients lie in Q(sqrt3)
+    assert tensor.preserved_by(rotation)
+    assert _mapped_tensor(basis, rotation) == tensor
+    assert not tensor.preserved_by(reflection)
+    assert _mapped_tensor(basis, reflection) != tensor
+
+
+def test_preservation_of_an_irrational_tensor(dense_sostar6_basis):
+    tensor = dense_sostar6_basis.structure_constants()
+    identity = CMatrix.identity(tensor.dim)
+    assert tensor.preserved_by(identity)
+    assert not tensor.preserved_by(-identity)  # [-a, -b] = [a, b]
+
+
+def test_preservation_rejects_a_map_of_the_wrong_shape(a_basis):
+    tensor = a_basis.structure_constants()
+    for shape in ((5, 5), (6, 5), (7, 6)):
+        with pytest.raises(ValueError):
+            tensor.preserved_by(CMatrix.zeros(*shape))
+
+
 def test_killing_data_is_computed_once_per_basis(monkeypatch):
     calls = []
     original = liealg.killing
