@@ -136,14 +136,15 @@ def export_document(family: str, n: int | None = None, p: int | None = None,
                              f"{dim(n)}, above the export bound {MAX_EXPORT_DIM}")
         return generic_basis(kind, n, p, q).to_json()
     if family in ("sostar8L", "sostar8V", "sostar8R"):
-        from .triality import apply_triality, transformed_spin_reps, triality_setup
+        from .triality import (apply_triality, transformed_spin_reps, triality_map,
+                               triality_setup)
         left, right = transformed_spin_reps()
         if family == "sostar8L":
             rep = left
         elif family == "sostar8R":
             rep = right
         else:
-            rep = apply_triality(triality_setup(), left)
+            rep = apply_triality(triality_map(triality_setup()), left)
         return rep.as_lie_basis().to_json()
     if family == "dictionary":
         from .clifford import PAIRS, dictionary_matrix

@@ -37,7 +37,8 @@ from typing import Iterable, Sequence
 from . import linalg
 from .quaternion import Quaternion, Q_ZERO, Q_ONE, Q_J, _hamilton_mul
 from .scalars import (C_I, C_ONE, C_ZERO, ZERO, ExactComplex, ExactScalar, _ZERO4,
-                      _complex_mul, _from_ints, _normal)
+                      _complex_mul, _field_product, _from_ints, _normal, _over_lcm,
+                      _split)
 
 DEFAULT_TOL = 1e-9
 
@@ -56,8 +57,9 @@ DEFAULT_TOL = 1e-9
 # state of an element (`scalars._ExactElement`) over the form's den, so an
 # element enters a form by a rescale of its ints and leaves it by one
 # normalization, and entries and elements multiply by one int table per ring
-# (`_ring_mul`).  Basis elements u, v multiply to _FIELD_SQUARES[u & v] times
-# element u ^ v (bit 0 stands for sqrt2, bit 1 for sqrt3).  The dicts are never changed once built, so forms
+# (`_ring_mul`), irrational ones by one block product on that table,
+# `scalars._field_product`, beside which the table of the field's basis
+# (`_FIELD_SQUARES`) lives.  The dicts are never changed once built, so forms
 # share them freely.
 #
 # An entry of a product that received a single term is never zero, so only a
@@ -67,9 +69,6 @@ DEFAULT_TOL = 1e-9
 # last, because Q(sqrt2, sqrt3) is totally real, so the norm t^2 + x^2 + y^2 +
 # z^2 of a nonzero quaternion over it is positive in every real embedding.
 
-_FIELD_SQUARES = (1, 2, 3, 6)
-
-
 def _form(k: int, items) -> tuple:
     """The integer form of the matrix with the element e at (i, j) for each
     pair ((i, j), e) of `items` and zero elsewhere; zero elements are
@@ -77,14 +76,12 @@ def _form(k: int, items) -> tuple:
     own denominator: den is the lcm of those, and a rational form keeps the
     first k ints of each element only."""
     nonzero = [(i, j, e) for (i, j), e in items if e]
-    den = math.lcm(*(e._den for _, _, e in nonzero))
-    rational = not any(any(e._num[k:]) for _, _, e in nonzero)
+    den, nums = _over_lcm([e for _, _, e in nonzero])
+    rational = not any(any(t[k:]) for t in nums)
     rows = {}
-    for i, j, e in nonzero:
-        t = e._num[:k] if rational else e._num
-        f = den // e._den
-        if f != 1:
-            t = tuple([f * z for z in t])
+    for (i, j, _), t in zip(nonzero, nums):
+        if rational:
+            t = t[:k]
         row = rows.get(i)
         if row is None:
             rows[i] = {j: t}
@@ -93,12 +90,13 @@ def _form(k: int, items) -> tuple:
     return den, rows, rational
 
 
-def _rational_rows(left, right, mul) -> dict:
-    """Rows of the product of two rational forms, row by row (Gustavson's
+def _row_product(left, right, mul) -> dict:
+    """Rows of the product of two forms' rows, row by row (Gustavson's
     row-wise product): each nonzero left[i][m] meets only the nonzeros of
     row m of `right`.  A row is scanned for zeros only when some entry
     received two terms, so terms that cancel leave no entry behind.  `mul`
-    is the ring product of two entries."""
+    is the product of two entries: the ring's table on rational forms, and
+    `scalars._field_product` on the blocks of `_blocks` otherwise."""
     out = {}
     for i, lrow in left.items():
         acc = {}
@@ -123,49 +121,10 @@ def _rational_rows(left, right, mul) -> dict:
 
 def _blocks(rows, rational: bool, k: int) -> dict:
     """Each entry of a form's rows as the list of its nonzero blocks
-    (u, k ints)."""
+    (u, k ints), as `scalars._split` gives them."""
     if rational:
         return {i: {j: [(0, t)] for j, t in row.items()} for i, row in rows.items()}
-    return {i: {j: [(u, t[u * k:u * k + k]) for u in range(4) if any(t[u * k:u * k + k])]
-                for j, t in row.items()} for i, row in rows.items()}
-
-
-def _field_rows(left, right, k: int, mul) -> dict:
-    """Rows of the product of two forms given by `_blocks`, row by row as in
-    `_rational_rows`; `mul` is the ring product of two blocks.  Each output
-    entry keeps its four blocks in a list, and every block product is added
-    into its block in place."""
-    zero = (0,) * k
-    out = {}
-    for i, lrow in left.items():
-        acc = {}
-        summed = False
-        for m, xb in lrow.items():
-            rrow = right.get(m)
-            if rrow is None:
-                continue
-            for j, yb in rrow.items():
-                blocks = acc.get(j)
-                if blocks is None:
-                    blocks = acc[j] = [None, None, None, None]
-                else:
-                    summed = True
-                for u, xu in xb:
-                    for v, yv in yb:
-                        p = mul(xu, yv)
-                        c = _FIELD_SQUARES[u & v]
-                        if c != 1:
-                            p = tuple(c * z for z in p)
-                        w = u ^ v
-                        s = blocks[w]
-                        blocks[w] = p if s is None else tuple(map(add, s, p))
-        row = {j: (a or zero) + (b or zero) + (c or zero) + (d or zero)
-               for j, (a, b, c, d) in acc.items()}
-        if summed:
-            row = {j: t for j, t in row.items() if any(t)}
-        if row:
-            out[i] = row
-    return out
+    return {i: {j: _split(t, k) for j, t in row.items()} for i, row in rows.items()}
 
 
 def _product(a, b):
@@ -176,11 +135,13 @@ def _product(a, b):
     cls = type(a)
     dx, left, xrat = a._ints
     dy, right, yrat = b._ints
+    ring_mul = cls._ring_mul
     if xrat and yrat:
-        rows = _rational_rows(left, right, cls._ring_mul)
+        rows = _row_product(left, right, ring_mul)
     else:
-        rows = _field_rows(a._blocked_rows(), b._blocked_rows(),
-                           cls._entry._k, cls._ring_mul)
+        k = cls._entry._k
+        rows = _row_product(a._blocked_rows(), b._blocked_rows(),
+                            lambda xb, yb: _field_product(xb, yb, k, ring_mul))
     return cls._from_form(a.rows, b.cols, (dx * dy, rows, xrat and yrat))
 
 

@@ -29,15 +29,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from operator import add, sub
 from typing import Sequence
 
 from . import linalg
 from .hmatrix import CMatrix, HMatrix, from_blocks, kron
-from .scalars import (ZERO, ExactComplex, ExactScalar, _field_mul, _from_ints, _mul4,
-                      _table_terms)
+from .scalars import (ZERO, ExactComplex, ExactScalar, _field_product, _from_ints, _mul4,
+                      _over_lcm, _split)
 
 QUATERNIONIC = "quaternionic"
 COMPLEX_EXACT = "complex-exact"
@@ -144,7 +143,7 @@ class StructureTensor:
     def __init__(self, dim: int, table: dict | None = None) -> None:
         items = [(pair, k, v) for pair, row in (table or {}).items()
                  for k, v in row.items() if not v.is_zero()]
-        den, coords = linalg._int_coords([v for _, _, v in items])
+        den, coords = _over_lcm([v for _, _, v in items])
         rows: dict = {}
         for (pair, k, _), t in zip(items, coords):
             rows.setdefault(pair, {})[k] = t
@@ -222,11 +221,11 @@ class StructureTensor:
         coefficients (p is a CMatrix, or has real entries).  Reads the
         tensor's integer form and p's and builds no element: on plain ints
         and p's ring table `_ring_mul` when both forms are rational, else on
-        the coordinates' int 4-tuples with `_mul4` (`scalars._field_mul`),
-        each f[a,b,c] lifted into p's ring.  The left side lies over
-        den_p^2 den and the right one over den_p den, so the right one's
-        numerators are multiplied by den_p.  Raises ValueError if
-        p is not n x n."""
+        4k ints with `scalars._field_product`, the ring product that the
+        elements and the matrix products run, each f[a,b,c] lifted into p's
+        ring.  The left side lies over den_p^2 den and the right one over
+        den_p den, so the right one's numerators are multiplied by den_p.
+        Raises ValueError if p is not n x n."""
         n = self.dim
         if (p.rows, p.cols) != (n, n):
             raise ValueError(f"a {p.rows}x{p.cols} map on a tensor of dimension {n}")
@@ -236,7 +235,8 @@ class StructureTensor:
         if prational and not any(any(t[1:]) for row in rows.values() for t in row.values()):
             mul, lift, zero = p._ring_mul, (lambda t: t[:1] + zero[1:]), (0,) * k
         else:
-            mul = partial(_field_mul, k=k, terms=_table_terms(p._ring_mul, k))
+            ring_mul = p._ring_mul
+            mul = lambda x, y: _field_product(_split(x, k), _split(y, k), k, ring_mul)
             lift = lambda t: tuple(chain.from_iterable((z,) + zero[1:k] for z in t))
             zero = (0,) * (4 * k)
             if prational:

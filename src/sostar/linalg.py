@@ -28,7 +28,7 @@ import math
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints, _mul4
+from .scalars import ZERO, ExactComplex, ExactScalar, _from_ints, _mul4, _over_lcm
 
 
 def rref(rows: list[list], ncols: int | None = None):
@@ -122,7 +122,7 @@ def _sparse(values) -> tuple:
     """(den, {index: int 4-tuple}): the nonzero ExactScalars of `values`
     over den, the lcm of their denominators."""
     support = [i for i, v in enumerate(values) if not v.is_zero()]
-    den, coords = _int_coords([values[i] for i in support])
+    den, coords = _over_lcm([values[i] for i in support])
     return den, dict(zip(support, coords))
 
 
@@ -271,14 +271,6 @@ def _solutions(dens: list, rows: dict, pivots: dict, wanted) -> tuple:
             for col, (a, b, c, d) in sol.items():
                 sol[col] = (a // g, b // g, c // g, d // g)
     return den, list(sols.values())
-
-
-def _int_coords(values):
-    """The ExactScalars `values` over one common denominator D, the lcm of
-    their denominators: returns D and, per value, the int 4-tuple
-    D * (a, b, c, d) over {1, sqrt2, sqrt3, sqrt6}."""
-    den = math.lcm(*(v._den for v in values))
-    return den, [tuple(x * (den // v._den) for x in v._num) for v in values]
 
 
 def _primitive(row: dict) -> dict:

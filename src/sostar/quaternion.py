@@ -20,9 +20,11 @@ numerators over one denominator, on which coercion of ints, Fractions and
 field scalars as real quaternions, + and -, equality, hashing, JSON and repr
 are written once.  The coordinates t, x, y, z are ExactScalars built on each
 read.  The Hamilton product runs on the int table `_hamilton_mul`, which
-`hmatrix` also uses for HMatrix products, and is the zero quaternion for a
-zero factor; conjugation and reversion are sign patterns on the
-coordinates.  Real scalars are central, so a scalar on either side of a
+`hmatrix` also uses for HMatrix products: once when both factors are
+rational, and else once per pair of nonzero blocks in
+`scalars._field_product`, the one irrational ring product.  It is the zero
+quaternion for a zero factor; conjugation and reversion are sign patterns
+on the coordinates.  Real scalars are central, so a scalar on either side of a
 product gives the same quaternion.
 """
 
@@ -32,8 +34,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Union
 
-from .scalars import (ExactScalar, _ExactElement, _component, _put, _ring_product,
-                      _table_terms)
+from .scalars import ExactScalar, _ExactElement, _component, _put, _ring_product
 
 ScalarLike = Union[int, Fraction, ExactScalar]
 
@@ -59,7 +60,6 @@ class Quaternion(_ExactElement):
     _parts = attrgetter(*_fields)
     _part_from_json = ExactScalar.from_json
     _ring_mul = staticmethod(_hamilton_mul)
-    _terms = _table_terms(_hamilton_mul, 4)
     __mul__ = __rmul__ = _ring_product
 
     t = _component(0, 4, "real")

@@ -30,10 +30,15 @@ rule (ints, Fractions and field scalars embed as the first coordinate), + and
 - that return the other operand when one is zero, negation, equality and
 hashing, the zero test, JSON and repr.  The product of C and H runs on the
 ring's int table, the same one the matrices use (`_complex_mul` here,
-`quaternion._hamilton_mul`); a product with a zero factor is the type's zero
-constant.  ExactScalar adds only what is particular to the field: its
-Fraction constructor, the product with its rational fast path, the inverse,
-the exact sign and order, and the float value.
+`quaternion._hamilton_mul`): once when both factors are rational, and else
+once per pair of nonzero blocks in `_field_product`, the one irrational ring
+product, which matrix products and `liealg.StructureTensor.preserved_by`
+call too.  A product with a zero factor is the type's zero constant.  One
+rescale, `_over_lcm`, puts elements over a common denominator, for a C or
+H element's coordinates, a matrix's integer form and a structure tensor's.
+ExactScalar adds only what is particular to the field: its Fraction
+constructor, the product with its rational fast path, the inverse, the exact
+sign and order, and the float value.
 """
 
 from __future__ import annotations
@@ -61,8 +66,7 @@ class _ExactElement:
     `_part_from_json` (how one coordinate is read back from JSON), and writes
     out `__init__` and `__mul__`.  A ring over the field (k > 1) takes
     `_ring_product` as its product and sets what it reads: `_ring_mul`, the
-    product of two rational elements' k ints, its `_terms` (`_table_terms`)
-    and the zero constant `_zero`.
+    product of two rational elements' k ints, and the zero constant `_zero`.
     """
 
     __slots__ = ("_num", "_den")
@@ -204,7 +208,7 @@ def _mul4(x, y):
 
 def _ring_product(self, other):
     """The product of two C or H elements: the ring's int table `_ring_mul`
-    when both are rational, else `_field_mul` on that table's terms.  C is
+    when both are rational, else `_field_product` on their blocks.  C is
     commutative, and a left operand that is not a quaternion embeds as a
     real scalar, which is central in H, so this is `__rmul__` as well."""
     if type(other) is not type(self):
@@ -216,24 +220,42 @@ def _ring_product(self, other):
         return self._zero
     k = self._k
     if any(x[k:]) or any(y[k:]):
-        num = _field_mul(x, y, k, self._terms)
+        num = _field_product(_split(x, k), _split(y, k), k, self._ring_mul)
     else:
         num = self._ring_mul(x[:k], y[:k]) + (0,) * (3 * k)
     return _normal(type(self), num, self._den * other._den)
 
 
-def _field_mul(x, y, k: int, terms) -> tuple:
-    """The product of two ring elements' 4k ints x and y (numerator u*k + p
-    is coordinate p along basis element u): one `_mul4` on the coordinates'
-    int 4-tuples per term (p, q, r, op) of the ring's table `terms` whose
-    coordinates are both nonzero."""
-    xs = [c if any(c) else None for c in (x[p::k] for p in range(k))]
-    ys = [c if any(c) else None for c in (y[q::k] for q in range(k))]
-    acc = [_ZERO4] * k
-    for p, q, r, op in terms:
-        if xs[p] and ys[q]:
-            acc[r] = tuple(map(op, acc[r], _mul4(xs[p], ys[q])))
-    return tuple(chain.from_iterable(zip(*acc)))
+# Basis elements u, v of 1, sqrt2, sqrt3, sqrt6 (bit 0 stands for sqrt2, bit 1
+# for sqrt3) multiply to _FIELD_SQUARES[u & v] times basis element u ^ v.
+_FIELD_SQUARES = (1, 2, 3, 6)
+
+
+def _split(t: tuple, k: int) -> list:
+    """The nonzero blocks (u, k ints) of the 4k ints t: block u holds the
+    ring element that multiplies basis element u."""
+    return [(u, t[u * k:u * k + k]) for u in range(4) if any(t[u * k:u * k + k])]
+
+
+def _field_product(xb, yb, k: int, ring_mul) -> tuple:
+    """The 4k ints of the product of two ring elements over Q(sqrt2, sqrt3)
+    given by their nonzero blocks (`_split`): one `ring_mul`, the ring's
+    table on k ints, per pair of blocks, scaled by `_FIELD_SQUARES` and added
+    into block u ^ v.  The one irrational ring product, for elements,
+    matrix entries and `StructureTensor.preserved_by`."""
+    blocks = [None, None, None, None]
+    for u, xu in xb:
+        for v, yv in yb:
+            p = ring_mul(xu, yv)
+            c = _FIELD_SQUARES[u & v]
+            if c != 1:
+                p = tuple([c * z for z in p])
+            w = u ^ v
+            s = blocks[w]
+            blocks[w] = p if s is None else tuple(map(add, s, p))
+    zero = (0,) * k
+    a, b, c, d = blocks
+    return (a or zero) + (b or zero) + (c or zero) + (d or zero)
 
 
 def _complex_mul(x, y):
@@ -243,27 +265,20 @@ def _complex_mul(x, y):
     return (a * c - b * d, a * d + b * c)
 
 
-def _table_terms(ring_mul, k: int) -> tuple:
-    """The terms (p, q, r, op) of a ring's int table: e_p e_q = +-e_r on the
-    unit vectors, with op = add for + and sub for -."""
-    units = [tuple(int(i == p) for i in range(k)) for p in range(k)]
-    return tuple((p, q, r, add if s > 0 else sub)
-                 for p in range(k) for q in range(k)
-                 for r, s in enumerate(ring_mul(units[p], units[q])) if s)
+def _over_lcm(elements) -> tuple:
+    """(den, [ints]): the elements over one denominator, the lcm of theirs,
+    each as its numerators times den over its own denominator."""
+    den = math.lcm(*(e._den for e in elements))
+    return den, [e._num if e._den == den else tuple([den // e._den * z for z in e._num])
+                 for e in elements]
 
 
 def _put(element: _ExactElement, parts: tuple) -> None:
     """Set a C or H element's state from its coordinates (ints, Fractions or
     field scalars), over the lcm of their denominators, which is already
     lowest terms by the argument in `ExactScalar.__init__`."""
-    k = len(parts)
-    parts = [s if type(s) is ExactScalar else ExactScalar(s) for s in parts]
-    den = math.lcm(*(s._den for s in parts))
-    num = [0] * (4 * k)
-    for p, s in enumerate(parts):
-        f = den // s._den
-        num[p::k] = [f * z for z in s._num]
-    _set_num(element, tuple(num))
+    den, nums = _over_lcm([s if type(s) is ExactScalar else ExactScalar(s) for s in parts])
+    _set_num(element, tuple(chain.from_iterable(zip(*nums))))
     _set_den(element, den)
 
 
@@ -335,7 +350,7 @@ class ExactScalar(_ExactElement):
         if not (x[1] or x[2] or x[3] or y[1] or y[2] or y[3]):
             a = x[0] * y[0]
             g = math.gcd(a, den)
-            return _make((a // g, 0, 0, 0), den // g)
+            return _new(ExactScalar, (a // g, 0, 0, 0), den // g)
         a, b, c, d = _mul4(x, y)
         return _from_ints(a, b, c, d, den)
 
@@ -419,15 +434,6 @@ class ExactScalar(_ExactElement):
         return "ExactScalar(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _make(num: tuple, den: int) -> ExactScalar:
-    """An ExactScalar with numerators `num` over `den`, already in lowest
-    terms with den > 0."""
-    x = object.__new__(ExactScalar)
-    _set_num(x, num)
-    _set_den(x, den)
-    return x
-
-
 def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
     """(a + b*sqrt2 + c*sqrt3 + d*sqrt6) / den for ints with den != 0, brought
     to lowest terms with a positive denominator."""
@@ -436,7 +442,7 @@ def _from_ints(a: int, b: int, c: int, d: int, den: int) -> ExactScalar:
     g = math.gcd(a, b, c, d, den)
     if g != 1:
         a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-    return _make((a, b, c, d), den)
+    return _new(ExactScalar, (a, b, c, d), den)
 
 
 def _sign_rat(p: int) -> int:
@@ -488,7 +494,6 @@ class ExactComplex(_ExactElement):
     _parts = attrgetter(*_fields)
     _part_from_json = ExactScalar.from_json
     _ring_mul = staticmethod(_complex_mul)
-    _terms = _table_terms(_complex_mul, 2)
     __mul__ = __rmul__ = _ring_product
 
     re = _component(0, 2, "real")

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sostar import quaternion, scalars
+from sostar import hmatrix, liealg, quaternion, scalars
 from sostar.hmatrix import CMatrix, HMatrix
+from sostar.liealg import StructureTensor
 from sostar.quaternion import Q_ZERO, Quaternion
 from sostar.scalars import C_ZERO, ZERO, ExactComplex, ExactScalar, _ExactElement
 
@@ -63,6 +64,33 @@ def test_exact_scalar_keeps_no_value_semantics_of_its_own():
 def test_elements_and_matrices_share_one_table_per_ring():
     assert CMatrix._ring_mul is ExactComplex._ring_mul is scalars._complex_mul
     assert HMatrix._ring_mul is Quaternion._ring_mul is quaternion._hamilton_mul
+    # the irrational product is the one block product on that table
+    assert hmatrix._field_product is liealg._field_product is scalars._field_product
+    for owner in (scalars, quaternion, hmatrix, liealg, ExactComplex, Quaternion):
+        for name in ("_terms", "_field_mul", "_table_terms", "_field_rows"):
+            assert not hasattr(owner, name), (owner, name)
+
+
+def test_irrational_products_all_run_the_one_field_product(monkeypatch):
+    sites = []
+    original = scalars._field_product
+
+    def counting(module):
+        def counted(xb, yb, k, ring_mul):
+            sites.append((module.__name__, k))
+            return original(xb, yb, k, ring_mul)
+        return counted
+
+    for module in (scalars, hmatrix, liealg):
+        monkeypatch.setattr(module, "_field_product", counting(module))
+    c, q = _sample(ExactComplex), _sample(Quaternion)
+    assert c * c == ExactComplex(c.re * c.re - c.im * c.im, 2 * c.re * c.im)
+    q * q
+    HMatrix([[q]]) @ HMatrix([[q]])
+    tensor = StructureTensor(3, {(0, 1): {2: ExactScalar(0, 1)}})
+    assert tensor.preserved_by(CMatrix.identity(3))
+    assert set(sites) == {("sostar.scalars", 2), ("sostar.scalars", 4),
+                          ("sostar.hmatrix", 4), ("sostar.liealg", 2)}
 
 
 def test_ring_products_make_no_field_scalar_operation(monkeypatch):

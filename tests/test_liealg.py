@@ -243,14 +243,10 @@ def test_structure_constants_build_no_exact_scalar(realization, monkeypatch,
         basis = basis.embedded()
     basis = LieBasis("fresh", realization, basis.generators)  # no cached tensor
     built = []
-    # `_from_ints` and the scalar product build through `_make`, the value
-    # semantics shared with C and H through `_new`
-    original_make, original_new = scalars._make, scalars._new
+    # `_from_ints`, the scalar product and the value semantics shared with C
+    # and H build through `_new`, the constructor through `__init__`
+    original_new = scalars._new
     original_init = ExactScalar.__init__
-
-    def counting_make(*args):
-        built.append(args)
-        return original_make(*args)
 
     def counting_new(cls, *args):
         if cls is ExactScalar:
@@ -261,13 +257,13 @@ def test_structure_constants_build_no_exact_scalar(realization, monkeypatch,
         built.append(args)
         original_init(self, *args)
 
-    monkeypatch.setattr(scalars, "_make", counting_make)
     monkeypatch.setattr(scalars, "_new", counting_new)
     monkeypatch.setattr(ExactScalar, "__init__", counting_init)
-    scalars._from_ints(1, 0, 0, 0, 2)
+    half = scalars._from_ints(1, 0, 0, 0, 2)
+    half * half  # the rational fast path of the product
     ExactScalar(1)
     -ExactScalar.sqrt2()
-    assert len(built) == 4  # the counter sees each way to build one
+    assert len(built) == 5  # the counter sees each way to build one
     built.clear()
     structure_constants(basis)
     assert built == []
@@ -277,10 +273,10 @@ def test_killing_matrix_reads_the_form_without_int_coords(dense_sostar6,
                                                           monkeypatch):
     want = _killing_matrix(dense_sostar6)
 
-    def int_coords(values):
-        raise AssertionError("linalg._int_coords was called")
+    def over_lcm(elements):
+        raise AssertionError("the rescale _over_lcm was called")
 
-    monkeypatch.setattr(linalg, "_int_coords", int_coords)
+    monkeypatch.setattr(liealg, "_over_lcm", over_lcm)
     assert _killing_matrix(dense_sostar6) == want
 
 

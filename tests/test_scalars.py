@@ -1,15 +1,18 @@
 import functools
 import math
 import operator
+import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 import sostar.scalars
 from sostar.hmatrix import CMatrix, HMatrix
-from sostar.quaternion import Quaternion
-from sostar.scalars import ZERO, ExactComplex, ExactScalar, _from_ints
+from sostar.quaternion import Quaternion, _hamilton_mul
+from sostar.scalars import (ZERO, ExactComplex, ExactScalar, _complex_mul, _field_product,
+                            _from_ints, _mul4, _split)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
@@ -406,3 +409,42 @@ def test_coordinates_are_read_only_reduced_fractions():
     with pytest.raises(AttributeError):
         x.a = Fraction(1)
 
+
+def _coordinatewise_product(x, y, k, ring_mul):
+    """The reference product of two ring elements' 4k ints: one `_mul4` on
+    the int 4-tuples of coordinate p of x and coordinate q of y for each
+    term e_p e_q = s e_r of the ring's table, read off `ring_mul` on the
+    unit vectors."""
+    units = [tuple(int(i == p) for i in range(k)) for p in range(k)]
+    acc = [(0, 0, 0, 0)] * k
+    for p in range(k):
+        for q in range(k):
+            for r, s in enumerate(ring_mul(units[p], units[q])):
+                if s:
+                    acc[r] = tuple(a + s * b for a, b in zip(acc[r], _mul4(x[p::k], y[q::k])))
+    return tuple(chain.from_iterable(zip(*acc)))
+
+
+@pytest.mark.parametrize("k, ring_mul", [(1, lambda x, y: (x[0] * y[0],)),
+                                         (2, _complex_mul), (4, _hamilton_mul)],
+                         ids=["field", "complex", "quaternion"])
+def test_field_product_matches_the_coordinatewise_reference(k, ring_mul):
+    """The block product against the coordinate-wise one, for every subset
+    of nonzero blocks of either factor, the empty one (zero) included."""
+    rng = random.Random(f"field_product/{k}")
+
+    def element(blocks):
+        t = [0] * (4 * k)
+        for u in blocks:
+            while not any(t[u * k:u * k + k]):
+                t[u * k:u * k + k] = [rng.randint(-9, 9) for _ in range(k)]
+        return tuple(t)
+
+    subsets = [[u for u in range(4) if mask >> u & 1] for mask in range(16)]
+    for _ in range(3):
+        for xs in subsets:
+            for ys in subsets:
+                x, y = element(xs), element(ys)
+                assert [u for u, _ in _split(x, k)] == xs
+                got = _field_product(_split(x, k), _split(y, k), k, ring_mul)
+                assert got == _coordinatewise_product(x, y, k, ring_mul)

@@ -37,12 +37,12 @@ def test_g_entries():
 
 def test_triality_names_the_cycle_and_its_tensor_obeys_jacobi(spin_reps):
     left, _ = spin_reps
-    quartets = triality_setup()
-    vector = apply_triality(quartets, left)
+    p = triality_map(triality_setup())
+    vector = apply_triality(p, left)
     assert vector.name == "V"
-    second = apply_triality(quartets, vector)
+    second = apply_triality(p, vector)
     assert second.name == "R"
-    assert apply_triality(quartets, second).name == "L"
+    assert apply_triality(p, second).name == "L"
     assert left.as_lie_basis().structure_constants().jacobi_holds()
 
 
@@ -65,6 +65,42 @@ def test_flipped_vector_sign_fails_only_the_plane_check(monkeypatch,
     assert f"FAILED: {failed[0]}" in out
 
 
+def test_a_wrong_transposed_entry_fails_the_plane_check(monkeypatch, verify_suite):
+    """The plane line compares each V_ij as a whole: with only the (3, 0)
+    entry of V_03 flipped from -1 to 1, it FAILs, as do the form, both later
+    steps of the cycle and the tensor line, which that entry also enters."""
+    original = triality.apply_triality
+
+    def wrong_transposed_entry(p, rep):
+        out = original(p, rep)
+        if out.name == "V":
+            v03 = out.generators[(0, 3)]
+            assert v03.entries[3][0] == ExactComplex(-1)
+            out = SpinRep("V", {**out.generators,
+                                (0, 3): v03 + CMatrix.sparse(8, {(3, 0): 2})})
+        return out
+
+    monkeypatch.setattr(triality, "apply_triality", wrong_transposed_entry)
+    code, out, report = verify_suite("triality")
+    failed = ["vector basis satisfies I26 (-V^T) I26 = V",
+              "each V_ij acts in its own plane with the catalogued sign",
+              "second application lands exactly on the right-handed basis",
+              "third application is the exact identity",
+              "L, V, R share one structure tensor (exact)"]
+    assert report.failures() == failed
+    assert code == 1
+    assert all(f"FAILED: {d}" in out for d in failed)
+
+
+def test_verify_triality_builds_the_map_once(monkeypatch, spin):
+    built = []
+    original = triality.triality_map
+    monkeypatch.setattr(triality, "triality_map",
+                        lambda quartets: built.append(quartets) or original(quartets))
+    assert verify_triality(spin).failures() == []
+    assert len(built) == 1
+
+
 def test_wrong_row_signs_break_the_cycle(monkeypatch, verify_suite):
     monkeypatch.setattr(triality, "ROW_SIGNS", (1, 1, -1, -1))
     code, out, report = verify_suite("triality")
@@ -78,9 +114,9 @@ def test_wrong_row_signs_break_the_cycle(monkeypatch, verify_suite):
 
 
 def _vector_tensor_and_map(left):
-    quartets = triality_setup()
-    vector = apply_triality(quartets, left)
-    return vector.as_lie_basis().structure_constants(), triality_map(quartets)
+    p = triality_map(triality_setup())
+    vector = apply_triality(p, left)
+    return vector.as_lie_basis().structure_constants(), p
 
 
 def test_triality_map_mixes_each_quartet_by_its_signed_transition_matrix():
