@@ -175,6 +175,14 @@ def generic_basis(family: str, n: int, p: int | None = None,
     diagonal generators carry the allowed imaginary units.  Dimensions come
     out to 4n^2-1, n(2n+1), and n(2n-1) respectively.
     """
+    name, gens, labels = generic_generators(family, n, p, q)
+    return LieBasis(name, QUATERNIONIC, gens, labels)
+
+
+def generic_generators(family: str, n: int, p: int | None = None,
+                       q: int | None = None) -> tuple[str, list, list]:
+    """(name, generators, labels) of `generic_basis`, with no LieBasis
+    built."""
     if n < 1:
         raise ValueError("n must be positive")
     if family == SO_STAR:
@@ -190,7 +198,7 @@ def generic_basis(family: str, n: int, p: int | None = None,
     raise ValueError(f"unknown family {family!r}")
 
 
-def _generic_sostar(n: int) -> LieBasis:
+def _generic_sostar(n: int) -> tuple[str, list, list]:
     gens, labels = [], []
     for i in range(n):
         for j in range(i + 1, n):
@@ -202,10 +210,10 @@ def _generic_sostar(n: int) -> LieBasis:
     for i in range(n):
         gens.append(HMatrix.sparse(n, {(i, i): _UNITS["j"]}))
         labels.append(f"d{i}_j")
-    return LieBasis(f"so_star_n{n}", QUATERNIONIC, gens, labels)
+    return f"so_star_n{n}", gens, labels
 
 
-def _generic_spstar(p: int, q: int) -> LieBasis:
+def _generic_spstar(p: int, q: int) -> tuple[str, list, list]:
     n = p + q
     eta = [1] * p + [-1] * q
     gens, labels = [], []
@@ -221,10 +229,10 @@ def _generic_spstar(p: int, q: int) -> LieBasis:
         for name in ("i", "j", "k"):
             gens.append(HMatrix.sparse(n, {(i, i): _UNITS[name]}))
             labels.append(f"d{i}_{name}")
-    return LieBasis(f"sp_star_p{p}q{q}", QUATERNIONIC, gens, labels)
+    return f"sp_star_p{p}q{q}", gens, labels
 
 
-def _generic_slh(n: int) -> LieBasis:
+def _generic_slh(n: int) -> tuple[str, list, list]:
     gens, labels = [], []
     for i in range(n):
         for j in range(n):
@@ -241,4 +249,4 @@ def _generic_slh(n: int) -> LieBasis:
         gens.append(HMatrix.sparse(n, {(i, i): Quaternion(1),
                                        (n - 1, n - 1): Quaternion(-1)}))
         labels.append(f"d{i}_re")
-    return LieBasis(f"sl_H_n{n}", QUATERNIONIC, gens, labels)
+    return f"sl_H_n{n}", gens, labels

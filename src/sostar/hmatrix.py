@@ -443,6 +443,25 @@ class _ExactMatrix:
                             out[base + p] = c
         return den, out
 
+    @classmethod
+    def _from_coordinate_ints(cls, rows: int, cols: int, den: int, coords: dict):
+        """The rows x cols matrix whose nonzero real coordinates over the
+        positive den are `coords`, indexed as `_coordinate_ints` gives them:
+        its inverse, on the integer form."""
+        k = cls._entry._k
+        rational = not any(c[1] or c[2] or c[3] for c in coords.values())
+        out = {}
+        for index, c in coords.items():
+            i, rest = divmod(index, cols * k)
+            j, p = divmod(rest, k)
+            t = out.setdefault(i, {}).setdefault(j, [0] * (k if rational else 4 * k))
+            if rational:
+                t[p] = c[0]
+            else:
+                t[p::k] = c
+        return cls._from_form(rows, cols, (den, {i: {j: tuple(t) for j, t in row.items()}
+                                                 for i, row in out.items()}, rational))
+
     def coords(self) -> list[ExactScalar]:
         """Real coordinates in row-major order: (re, im) per complex entry,
         (t, x, y, z) per quaternion entry."""
@@ -696,6 +715,33 @@ def from_blocks(blocks: Sequence[Sequence[CMatrix]]) -> CMatrix:
                 row.update((offset + j, t) for j, t in part.items())
         top += brow[0].rows
     return CMatrix._from_form(top, sum(widths), (den, out, rational))
+
+
+def linear_combinations(p: CMatrix, mats: Sequence[CMatrix]) -> list[CMatrix]:
+    """The matrices sum_a p[i][a] mats[a], one per row i of p, by one
+    product of p with the matrices stacked as the rows of one integer form
+    (row a holds mats[a]'s entries in row-major order), whose rows are then
+    split back into matrices of the common shape."""
+    r, c = mats[0].rows, mats[0].cols
+    if p.cols != len(mats) or any((m.rows, m.cols) != (r, c) for m in mats):
+        raise ValueError("need one matrix of one shape per column of p")
+    den, parts, rational = _common([m._ints for m in mats], 2)
+    stacked = {a: {i * c + j: t for i, row in rows.items() for j, t in row.items()}
+               for a, rows in enumerate(parts) if rows}
+    dp, prows, prational = _product(
+        p, CMatrix._from_form(len(mats), r * c, (den, stacked, rational)))._ints
+    out = []
+    for a in range(p.rows):
+        rows = {}
+        for index, t in prows.get(a, {}).items():
+            i, j = divmod(index, c)
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: t}
+            else:
+                row[j] = t
+        out.append(CMatrix._from_form(r, c, (dp, rows, prational)))
+    return out
 
 
 # ---------------------------------------------------------------------------

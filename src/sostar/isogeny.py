@@ -15,11 +15,11 @@ import math
 
 from .bases import (basis_sostar4_A, basis_sostar6_complex, basis_sostar6_quat,
                     basis_su2_sl2_S, basis_su31, generic_basis,
-                    SL_H, SO_STAR, SP_STAR)
+                    generic_generators, SL_H, SO_STAR, SP_STAR)
 from .hmatrix import (CMatrix, DEFAULT_TOL, is_sostar_group_embedded,
                       is_su_group_embedded, max_abs_diff)
-from .liealg import (bracket, commutant_dimension, compact_generator_count,
-                     matrix_exp)
+from .liealg import (QUATERNIONIC, LieBasis, bracket, commutant_dimension,
+                     compact_generator_count, matrix_exp)
 from .report import VerificationReport
 from .triality import is_real_matrix
 
@@ -160,7 +160,7 @@ def verify_sostar6(tol: float = DEFAULT_TOL) -> VerificationReport:
 
 
 def _closes_as_subalgebra(gens: list[CMatrix]) -> bool:
-    from .liealg import LieBasis, COMPLEX_EXACT, structure_constants
+    from .liealg import COMPLEX_EXACT, structure_constants
     try:
         sub = LieBasis("real_span", COMPLEX_EXACT, gens)  # raises if dependent
         structure_constants(sub)  # raises if a bracket leaves the span
@@ -200,8 +200,9 @@ def verify_tables() -> VerificationReport:
     so*(2n) with n <= 4, sp*(p,q) with p+q <= 3 (all splits), and sl(n,H)
     with n <= 3, by exact computation on the generic bases.  Members with
     identical generators (sp*(n,0) and sp*(0,n), sp*(1) and sl(1,H)) share
-    one basis, so each distinct algebra is expanded once; every row is
-    still checked and reported."""
+    one basis, keyed on the generators before it is built, so each distinct
+    algebra is built and expanded once; every row is still checked and
+    reported."""
     rep = VerificationReport(claim_id="tables")
     cases = []
     for n in range(1, 5):
@@ -212,12 +213,14 @@ def verify_tables() -> VerificationReport:
     for n in range(1, 4):
         cases.append((SL_H, n, 0, 0))
 
-    known: dict = {}  # generator tuple -> its first basis, expanded once
+    known: dict = {}  # generator tuple -> its basis, built and expanded once
     for family, n, p, q in cases:
         expected = table_row(family, n, p, q)
-        basis = generic_basis(family, n, p if family == SP_STAR else None,
-                              q if family == SP_STAR else None)
-        basis = known.setdefault(tuple(basis.generators), basis)
+        name, gens, labels = generic_generators(family, n, p if family == SP_STAR else None,
+                                                q if family == SP_STAR else None)
+        basis = known.get(tuple(gens))
+        if basis is None:
+            basis = known[tuple(gens)] = LieBasis(name, QUATERNIONIC, gens, labels)
         tag = f"{family} n={n}" + (f" (p,q)=({p},{q})" if family == SP_STAR else "")
         rep.check(f"{tag}: dimension {expected['dim']}",
                   basis.dim == expected["dim"], basis.dim)

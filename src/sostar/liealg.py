@@ -11,6 +11,20 @@ That form is the `StructureTensor`'s whole state, so no field element is
 built between the brackets and the Killing matrix.  A bracket leaving the
 real span raises, which doubles as the closure check.
 
+The brackets expanded are those of the span's reduced echelon basis E, not
+of the given basis G (de Graaf, Lie Algebras: Theory and Algorithms, 2000,
+computes with matrix Lie algebras in such a basis).  The independence check
+of a `LieBasis` is the elimination that reduces the generators, so E and
+the exact change of basis T with G = T E are read off its rows: no solve
+finds T.  When T = I, which is the case for every generic basis and for
+the triality basis V, E is G itself and nothing else runs.  Otherwise the
+tensor and the Killing matrix of E are carried to G on integer forms, and
+change with the basis only as an exact change of basis does:
+B_G = T B_E T^T, so the signature is the same by Sylvester's law.  A dense
+basis, such as a recombination of a generic one over Q(sqrt2, sqrt3),
+spans an algebra whose E is rational and sparse, so its irrational
+brackets are never formed.
+
 The Killing matrix B_ij = Tr(ad_i ad_j) is summed on packed integers: every
 structure constant is already an int 4-tuple (a, b, c, d) over {1, sqrt2,
 sqrt3, sqrt6} and the tensor's one denominator D, and is packed into one
@@ -29,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from operator import add, sub
 from typing import Sequence
@@ -55,7 +70,13 @@ class LieBasis:
     """Ordered list of generators with labels and a realization tag.
 
     Generators must share shape and realization and be linearly independent
-    over the reals (checked by exact rank on construction).
+    over the reals.  That is checked on construction by one elimination with
+    the generators as rows and their real coordinates as columns, whose
+    reduced rows are kept: they give the reduced echelon basis E of the span
+    and the change of basis T with G = T E (`_echelon`), which the structure
+    constants and the Killing matrix are computed through.  The check needs
+    that elimination anyway, so a basis with T = I pays only a scan of its
+    generators' pivot coordinates, and is expanded as it is given.
     """
 
     def __init__(self, name: str, realization: str, generators: Sequence,
@@ -79,9 +100,20 @@ class LieBasis:
             f"{name}_{i + 1}" for i in range(len(gens))]
         if len(self.labels) != len(gens):
             raise ValueError("labels/generators length mismatch")
-        columns = [g._coordinate_ints() for g in gens]
-        if len(linalg._eliminate(columns)[2]) != len(gens):
+        # one elimination with the generators as rows and their real
+        # coordinates as columns: the rank check, and E's reduced rows
+        coords = [g._coordinate_ints() for g in gens]
+        columns = defaultdict(dict)
+        for p, (_, c) in enumerate(coords):
+            for index, t in c.items():
+                columns[index][p] = t
+        order = sorted(columns)
+        _, rows, pivots = linalg._eliminate([(1, columns[c]) for c in order])
+        if len(pivots) != len(gens):
             raise ValueError("generators are linearly dependent over the reals")
+        self._reduced = (coords, order, rows, pivots)
+        self._echelon_basis: tuple | None = None
+        self._echelon_tensor: StructureTensor | None = None
         self._tensor: StructureTensor | None = None
         self._killing: KillingData | None = None
 
@@ -101,6 +133,59 @@ class LieBasis:
             return self
         return LieBasis(self.name + "_embedded", COMPLEX_EXACT,
                         [g.embed() for g in self.generators], self.labels)
+
+    def _echelon(self) -> tuple:
+        """(E, T): the reduced echelon basis E of the span, as matrices, and
+        the change of basis T with G = T E as T's integer form (den, {p:
+        {q: int 4-tuple}}), or None when T = I.  Built on first use.
+
+        E_q is generator q's reduced row, whose entry at q's pivot
+        coordinate c_q is rational; it is scaled to agree with g_q there
+        when g_q[c_q] is rational.  E is reduced, so g_p = sum_q (g_p[c_q] /
+        E_q[c_q]) E_q, and T is read off with no solve.  Where row q of T is
+        the unit row, E_q = g_q and E_q is g_q's own matrix, so a basis that
+        is already reduced has T = I and E = G.
+        """
+        if self._echelon_basis is None:
+            coords, order, rows, pivots = self._reduced
+            gens = self.generators
+            pivot_of = {order[j]: q for j, q in pivots.items()}
+            # (q, ints of g_p[c_q]) for each pivot coordinate g_p meets
+            hits = [[(pivot_of[i], t) for i, t in c.items() if i in pivot_of]
+                    for _, c in coords]
+            # row p of T is the unit row when g_p meets no pivot coordinate
+            # but its own, and is rational there
+            unit = [len(h) == 1 and h[0][0] == p and not any(h[0][1][1:])
+                    for p, h in enumerate(hits)]
+            if all(unit):
+                self._echelon_basis = (gens, None)
+            else:
+                make = type(gens[0])._from_coordinate_ints
+                value, echelon = {}, list(gens)  # value: q -> E_q[c_q]
+                for j, q in pivots.items():
+                    den, t = coords[q][0], coords[q][1].get(order[j])
+                    pivot = rows[q][j][0]
+                    value[q] = (Fraction(t[0], den) if t is not None and not any(t[1:])
+                                else Fraction(pivot))
+                    if not unit[q]:
+                        s = value[q] / pivot
+                        echelon[q] = make(gens[q].rows, gens[q].cols, s.denominator, {
+                            order[i]: tuple(s.numerator * z for z in x)
+                            for i, x in rows[q].items()})
+                # T_pq = g_p[c_q] / E_q[c_q], as g_p's ints and a factor
+                terms = [[(q, t, 1 / (coords[p][0] * value[q])) for q, t in h]
+                         for p, h in enumerate(hits)]
+                den = math.lcm(*(f.denominator for h in terms for _, _, f in h))
+                change = {p: {q: tuple(f.numerator * (den // f.denominator) * z for z in t)
+                              for q, t, f in h} for p, h in enumerate(terms)}
+                self._echelon_basis = (echelon, (den, change))
+        return self._echelon_basis
+
+    def _echelon_constants(self) -> "StructureTensor":
+        """The structure tensor of E, expanded on first use."""
+        if self._echelon_tensor is None:
+            self._echelon_tensor = _expand(self.name, self._echelon()[0])
+        return self._echelon_tensor
 
     def structure_constants(self) -> "StructureTensor":
         if self._tensor is None:
@@ -274,14 +359,48 @@ class StructureTensor:
 def structure_constants(basis: LieBasis) -> StructureTensor:
     """Expand every bracket [g_i, g_j] (i<j) in the basis, exactly.
 
+    The brackets expanded are those of the basis's reduced echelon basis E
+    (`LieBasis._echelon`), with G = T E.  When T = I, E is G itself and
+    nothing else runs.  Otherwise f^G follows from f^E by one exact change
+    of basis on the integer forms: [g_i, g_j] = sum_c Y_ij[c] e_c with
+    Y_ij = sum_ab T_ia T_jb f^E_ab, and Y_ij = sum_k f^G_ijk T_k, solved by
+    one `linalg._solve` with the rows of T as its columns.  The result is
+    the canonical tensor of G, and no element is built.  Raises ValueError
+    if some bracket falls outside the real span (basis not closed).
+    """
+    tensor = basis._echelon_constants()
+    change = basis._echelon()[1]
+    if change is None:
+        return tensor
+    dt, trows = change
+    df, frows = tensor._form
+    n = tensor.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    targets = []
+    for i, j in pairs:
+        acc = {}  # Y_ij
+        for a, x in trows[i].items():
+            for b, y in trows[j].items():
+                row = frows.get((a, b)) if a < b else frows.get((b, a))
+                if not row:
+                    continue
+                w = _mul4(x, y)
+                _add_scaled(acc, w if a < b else (-w[0], -w[1], -w[2], -w[3]), row)
+        targets.append((dt * dt * df, {c: v for c, v in acc.items() if any(v)}))
+    den, sols = linalg._solve([(dt, trows[k]) for k in range(n)], targets)
+    return StructureTensor._from_form(
+        n, (den, {pair: row for pair, row in zip(pairs, sols) if row}))
+
+
+def _expand(name: str, gens: list) -> StructureTensor:
+    """The structure tensor of the generators `gens`, from their brackets.
+
     Every generator and bracket goes to the elimination as its nonzero
     integer coordinates, read from the matrix's integer form, and the
     solutions come back as the tensor's integer form, so no element of a
-    bracket or a coefficient is built.  Raises ValueError if the basis is
-    linearly dependent or some bracket falls outside the real span (basis
-    not closed).
+    bracket or a coefficient is built.  Raises ValueError, naming the
+    basis, if some bracket falls outside the real span.
     """
-    gens = basis.generators
     n = len(gens)
     columns = [g._coordinate_ints() for g in gens]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -289,7 +408,7 @@ def structure_constants(basis: LieBasis) -> StructureTensor:
     try:
         den, sols = linalg._solve(columns, targets)
     except ValueError as exc:
-        raise ValueError(f"basis {basis.name!r} is not closed under the bracket "
+        raise ValueError(f"basis {name!r} is not closed under the bracket "
                          f"or is degenerate: {exc}") from exc
     return StructureTensor._from_form(
         n, (den, {pair: row for pair, row in zip(pairs, sols) if row}))
@@ -324,12 +443,21 @@ def killing(basis: LieBasis) -> KillingData:
 
     The matrix B_ij = Tr(ad_i ad_j) is summed on packed integers by
     `_killing_matrix`, one big-int multiply per product of two nonzero
-    structure constants and no field product.  Its
+    structure constants and no field product.  When the change of basis T
+    of `LieBasis._echelon` is not I, that sum runs on the tensor of the
+    echelon basis E, and B_G = T B_E T^T is formed on the integer forms
+    (`_carried_killing`): the same matrix, from E's sparser tensor.  Its
     signature is decided exactly by congruence on the resulting ExactScalar
     matrix, and Killing-null directions are classified by the trace form of
     the defining representation.
     """
-    b = _killing_matrix(basis.structure_constants())
+    tensor = basis.structure_constants()
+    change = basis._echelon()[1]
+    if change is None:
+        b = _killing_matrix(tensor)
+    else:
+        b = _killing_elements(tensor.dim, *_carried_killing(
+            change, *_killing_ints(basis._echelon_constants())))
     raw = linalg.congruence_signature(b)
     n_minus, n_plus, n_zero = raw
     classified = 0
@@ -345,7 +473,14 @@ def killing(basis: LieBasis) -> KillingData:
 
 
 def _killing_matrix(tensor: StructureTensor) -> tuple:
-    """B_ij = Tr(ad_i ad_j) = sum_{k,l} f[i,k,l] f[j,l,k], as row tuples.
+    """B_ij = Tr(ad_i ad_j) = sum_{k,l} f[i,k,l] f[j,l,k], as row tuples of
+    the ExactScalars of `_killing_ints`."""
+    return _killing_elements(tensor.dim, *_killing_ints(tensor))
+
+
+def _killing_ints(tensor: StructureTensor) -> tuple:
+    """(den, {(i, j): int 4-tuple}): the nonzero entries B_ij, i <= j, of
+    the Killing matrix over one denominator, the square of the tensor's.
 
     With the vectors u_kl[i] = f[i,k,l], B = C + C^T + D for
     C = sum_{k<l} u_kl (x) u_lk and D = sum_k u_kk (x) u_kk, so only
@@ -360,7 +495,7 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
     of at most four terms each, so with M the largest scaled numerator its
     magnitude is at most 4 n^2 M^2 < 2^(S-1) for
     S = 2 bitlen(M) + bitlen(4 n^2) + 1.  Each entry is unpacked once by
-    `_slots`, folded with sqrt2^2 = 2 and sqrt3^2 = 3, and divided by D0^2.
+    `_slots` and folded with sqrt2^2 = 2 and sqrt3^2 = 3, over D0^2.
     """
     n = tensor.dim
     den, rows = tensor._form
@@ -384,17 +519,55 @@ def _killing_matrix(tensor: StructureTensor) -> tuple:
             row = acc[i]
             for j, q in y:
                 row[j] += p * q
-    den2 = den * den
-    b = [[ZERO] * n for _ in range(n)]
+    out = {}
     for i in range(n):
         for j in range(i, n):
             v = cross[i][j] + cross[j][i] + square[i][j]
             if v:
                 c00, c10, c20, c01, c11, c21, c02, c12, c22 = _slots(v, shift)
-                b[i][j] = b[j][i] = _from_ints(
-                    c00 + 2 * c20 + 3 * c02 + 6 * c22, c10 + 3 * c12,
-                    c01 + 2 * c21, c11, den2)
+                out[i, j] = (c00 + 2 * c20 + 3 * c02 + 6 * c22, c10 + 3 * c12,
+                             c01 + 2 * c21, c11)
+    return den * den, out
+
+
+def _killing_elements(n: int, den: int, entries: dict) -> tuple:
+    """The symmetric n x n ExactScalar matrix with the entries {(i, j):
+    int 4-tuple} over den for i <= j, zero elsewhere, as row tuples."""
+    b = [[ZERO] * n for _ in range(n)]
+    for (i, j), t in entries.items():
+        b[i][j] = b[j][i] = _from_ints(*t, den)
     return tuple(map(tuple, b))
+
+
+def _carried_killing(change: tuple, den: int, entries: dict) -> tuple:
+    """B_G = T B_E T^T for G = T E, from T's integer form and B_E's
+    entries as `_killing_ints` gives them: the Killing matrix of G, in the
+    same layout, over den_T^2 den."""
+    dt, trows = change
+    full = defaultdict(dict)  # B_E's rows
+    for (a, c), t in entries.items():
+        full[a][c] = full[c][a] = t
+    columns = defaultdict(dict)  # T's columns
+    for j, row in trows.items():
+        for c, t in row.items():
+            columns[c][j] = t
+    out = {}
+    for i, trow in trows.items():
+        left = {}  # row i of T B_E
+        for a, x in trow.items():
+            _add_scaled(left, x, full[a])
+        acc = {}  # row i of T B_E T^T
+        for c, x in left.items():
+            _add_scaled(acc, x, columns[c])
+        out.update(((i, j), t) for j, t in acc.items() if j >= i and any(t))
+    return dt * dt * den, out
+
+
+def _add_scaled(acc: dict, w: tuple, row: dict) -> None:
+    """acc[c] += w * row[c] for each c of the sparse row, on int 4-tuples."""
+    for c, z in row.items():
+        s = acc.get(c)
+        acc[c] = _mul4(w, z) if s is None else tuple(map(add, s, _mul4(w, z)))
 
 
 def _slots(v: int, shift: int) -> list:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import PAIRS, SpinBasisSet, spin26_generators
-from .hmatrix import CMatrix
+from .hmatrix import CMatrix, linear_combinations
 from .liealg import COMPLEX_EXACT, LieBasis
 from .report import VerificationReport
 from .scalars import ExactComplex
@@ -159,13 +159,11 @@ def triality_map(quartets: TrialityQuartets) -> CMatrix:
 
 def apply_triality(p: CMatrix, rep: SpinRep) -> SpinRep:
     """One step of the triality cycle L -> V -> R -> L: new generator i is
-    sum_a P[i][a] old_a for the map p = P of `triality_map`."""
-    old = [rep.generators[pos] for pos in PAIRS]
-    out = {}
-    for pos, row in zip(PAIRS, p.entries):
-        terms = [g.scale(coeff) for coeff, g in zip(row, old) if coeff]
-        out[pos] = sum(terms[1:], terms[0])
-    return SpinRep(_NEXT_NAME[rep.name], out)
+    sum_a P[i][a] old_a for the map p = P of `triality_map`, all 28 of them
+    from one product of P with the old generators stacked as the rows of
+    one 28 x 64 integer form (`hmatrix.linear_combinations`)."""
+    new = linear_combinations(p, [rep.generators[pos] for pos in PAIRS])
+    return SpinRep(_NEXT_NAME[rep.name], dict(zip(PAIRS, new)))
 
 
 # the form I_{2,6} of spin(2,6), built once: the matrix is immutable

@@ -48,6 +48,53 @@ def test_summaries_of_the_recorded_runs_reproduce_the_record():
         assert bench_pairs.summarise(runs) == want
 
 
+def test_verdict_of_a_winning_row():
+    parent = [0.060, 0.062, 0.061, 0.064, 0.059, 0.063, 0.060, 0.061, 0.062, 0.060]
+    change = [0.033, 0.034, 0.033, 0.035, 0.032, 0.034, 0.033, 0.033, 0.036, 0.032]
+    got = bench_pairs.verdict(bench_pairs.pair_summary(parent, change), 10, 0.24)
+    assert got == {"lower_frac": 1.0, "gap_exceeds_parent_iqr": True,
+                   "within_bound": True}
+
+
+def test_verdict_of_a_row_in_the_noise():
+    parent = [0.080, 0.084, 0.079, 0.090, 0.082, 0.081, 0.085, 0.083, 0.080, 0.086]
+    change = [0.081, 0.083, 0.080, 0.088, 0.083, 0.080, 0.086, 0.082, 0.079, 0.087]
+    row = bench_pairs.pair_summary(parent, change)
+    assert row["parent_iqr"] > abs(row["parent"]["median"] - row["change"]["median"])
+    got = bench_pairs.verdict(row, 10, 0.24)
+    assert got == {"lower_frac": 0.5, "gap_exceeds_parent_iqr": False,
+                   "within_bound": True}
+
+
+def test_verdict_of_a_row_past_the_bound():
+    parent = [24.9, 25.0, 24.8, 25.1, 24.9]
+    change = [27.6, 27.7, 27.5, 27.8, 27.6]  # 11% above, bound 10%
+    got = bench_pairs.verdict(bench_pairs.pair_summary(parent, change), 5, 0.1)
+    assert got == {"lower_frac": 0.0, "gap_exceeds_parent_iqr": False,
+                   "within_bound": False}
+    # the same gap is within a bound of a quarter, and a metric that is
+    # better higher reads it as a gain
+    assert bench_pairs.verdict(bench_pairs.pair_summary(parent, change), 5, 0.25)[
+        "within_bound"]
+    assert bench_pairs.verdict(bench_pairs.pair_summary(parent, change), 5, 0.1,
+                               "higher")["gap_exceeds_parent_iqr"]
+
+
+def test_summaries_with_bounds_add_a_verdict_to_each_metric():
+    record = json.loads((ROOT / "BENCH_11.json").read_text(encoding="utf-8"))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
+    key, want = next(iter(record["summary"].items()))
+    workload, seed = key.split("/seed")
+    runs = [r for r in record["runs"]
+            if r["workload"] == workload and r["seed"] == int(seed)]
+    got = bench_pairs.summarise(runs, bounds)
+    for name in bench_pairs.METRICS:
+        assert got[name].pop("verdict") == bench_pairs.verdict(
+            want[name], want["pairs"], *bounds[name])
+    assert got == want
+
+
 def test_export_summary_of_known_values():
     got = bench_pairs.export_summary([1.0314, 1.15, 1.2], [0.9375, 0.95, 1.19],
                                      "ae1b", "ae1b")

@@ -1090,3 +1090,38 @@ def test_kron_matches_the_entrywise_products(data):
     assert (got.rows, got.cols) == (p * r, q * s)
     assert _form_pattern(got) == _dense_pattern(want)
     assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("cls", [HMatrix, CMatrix])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coordinate_ints_round_trip(cls, data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    m = data.draw(_matrix(cls, rows, cols))
+    den, coords = m._coordinate_ints()
+    back = cls._from_coordinate_ints(rows, cols, den, coords)
+    assert back == m
+    assert back._ints[2] == m._ints[2]  # the rational layout is kept
+    assert back._coordinate_ints() == (den, coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_linear_combinations_match_the_scaled_sums(data):
+    count, out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mats = [data.draw(_matrix(CMatrix, rows, cols)) for _ in range(count)]
+    p = data.draw(_matrix(CMatrix, out, count))
+    got = hmatrix.linear_combinations(p, mats)
+    assert len(got) == out
+    for row, g in zip(p.entries, got):
+        assert (g.rows, g.cols) == (rows, cols)
+        assert g == sum((m.scale(c) for c, m in zip(row, mats)), CMatrix.zeros(rows, cols))
+
+
+def test_linear_combinations_need_one_matrix_of_one_shape_per_column():
+    p = CMatrix.identity(2)
+    with pytest.raises(ValueError):
+        hmatrix.linear_combinations(p, [CMatrix.identity(2)])
+    with pytest.raises(ValueError):
+        hmatrix.linear_combinations(p, [CMatrix.identity(2), CMatrix.identity(3)])

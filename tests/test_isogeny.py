@@ -1,5 +1,6 @@
 from sostar import isogeny
 from sostar.isogeny import table_row, verify_sostar4
+from sostar.liealg import LieBasis
 from sostar.report import VerificationReport, dumps
 
 
@@ -31,6 +32,25 @@ def test_tables_passes(suite_runs):
     report, _ = suite_runs["tables"]
     assert report.passed
     # 4 so* + 9 sp* + 3 sl rows, three checks each, plus the compact counts
+    assert len(report.witnesses) == 16 * 3 + 4
+
+
+def test_tables_build_one_basis_per_distinct_generator_tuple(monkeypatch):
+    # sp*(n,0) after sp*(0,n) and sl(1,H) after sp*(1) reuse a basis that
+    # is already built: 12 bases for the 16 rows, plus the embedded so*(2)
+    # whose Killing radical the trace form classifies, and every row is
+    # reported
+    built = []
+    original = LieBasis.__init__
+
+    def counting(self, name, realization, generators, labels=None):
+        built.append(tuple(generators))
+        original(self, name, realization, generators, labels)
+
+    monkeypatch.setattr(LieBasis, "__init__", counting)
+    report = isogeny.verify_tables()
+    assert report.passed
+    assert len(built) == len(set(built)) == 13
     assert len(report.witnesses) == 16 * 3 + 4
 
 

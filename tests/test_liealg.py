@@ -101,8 +101,10 @@ def test_structure_constants_match_solve_batch_on_a_dense_mixed_basis():
 
 
 def test_structure_constants_split_each_irrational_generator_once(monkeypatch):
-    # each generator enters 2(n - 1) bracket products; its blocks are kept
-    # on the matrix from the first one on
+    # each generator enters 2(n - 1) bracket products of the expansion; its
+    # blocks are kept on the matrix from the first one on.  The dense basis
+    # itself takes the carry: its echelon basis is rational, so nothing of
+    # it is split at all.
     gens = _perfbench_workloads().dense_generators(random.Random("dense_mixed/31"), 3, 2)
     split = []
     original = hmatrix._blocks
@@ -113,6 +115,8 @@ def test_structure_constants_split_each_irrational_generator_once(monkeypatch):
 
     monkeypatch.setattr(hmatrix, "_blocks", counting_blocks)
     structure_constants(LieBasis("dense", "quaternionic", gens))
+    assert split == []
+    liealg._expand("dense", gens)
     irrational = [g for g in gens if not g._ints[2]]
     assert len(irrational) > len(gens) // 2
     for g in irrational:

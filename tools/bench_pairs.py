@@ -23,8 +23,11 @@ The JSON written to BENCH_N.json in the current directory holds: what,
 command, protocol, host, summary, export, runs and trace.  For each
 workload/seed and end-to-end metric, the summary gives both sides' median
 and quartiles over the pairs, the ratio of the medians (change over parent),
-the parent's interquartile range, and the number of pairs in which the
-change is lower and higher.  `export` holds both sides' export wall times,
+the parent's interquartile range, the number of pairs in which the
+change is lower and higher, and a `verdict`: the share of pairs in which
+the change is lower, whether its median beats the parent's by more than the
+parent's IQR, and whether it stays within the bound that the parent's
+BENCHMARK.json sets for the metric.  `export` holds both sides' export wall times,
 the sha256 of each side's output and whether the two are byte-identical,
 and per phase (`build_s`, `dumps_s`) both sides' times and medians.
 `runs` and `trace` keep the two JSON lines that every run printed.  Only the
@@ -90,14 +93,29 @@ def pair_summary(parent: list[float], change: list[float]) -> dict:
             "change_higher_in_pairs": sum(c > p for p, c in zip(parent, change))}
 
 
+def verdict(row: dict, pairs: int, bound: float, better: str = "lower") -> dict:
+    """The gain and no-regression rules on one metric's pair summary `row`
+    over `pairs` pairs: `lower_frac`, the share of pairs in which the change
+    is lower; `gap_exceeds_parent_iqr`, whether the change's median beats
+    the parent's by more than the parent's IQR; and `within_bound`, whether
+    it is worse than the parent's by at most `bound` times the parent's
+    median, the bound of BENCHMARK.json."""
+    parent, change = row["parent"]["median"], row["change"]["median"]
+    gain = parent - change if better == "lower" else change - parent
+    return {"lower_frac": _round(row["change_lower_in_pairs"] / pairs),
+            "gap_exceeds_parent_iqr": gain > row["parent_iqr"],
+            "within_bound": -gain <= bound * abs(parent)}
+
+
 def _result(run: dict) -> dict:
     return run["lines"][-1]
 
 
-def summarise(runs: list[dict]) -> dict:
+def summarise(runs: list[dict], bounds: dict | None = None) -> dict:
     """The summary of one workload and seed from its untraced runs, which
     alternate in pairs: the k-th parent run is paired with the k-th change
-    run."""
+    run.  With `bounds`, {metric: (bound, better)} from the end-to-end
+    metrics of BENCHMARK.json, each metric's row also gets its `verdict`."""
     sides = {side: [r for r in runs if r["side"] == side]
              for side in ("parent", "change")}
     out = {"pairs": min(map(len, sides.values())),
@@ -108,6 +126,8 @@ def summarise(runs: list[dict]) -> dict:
         values = {side: [_result(r)["metrics"][name]["value"] for r in rs]
                   for side, rs in sides.items()}
         out[name] = pair_summary(values["parent"], values["change"])
+        if bounds is not None:
+            out[name]["verdict"] = verdict(out[name], out["pairs"], *bounds[name])
     return out
 
 
@@ -245,7 +265,9 @@ def main(argv=None) -> int:
         if missing:
             parser.error(f"{tree} lacks {', '.join(missing)}")
     declared = trees["parent"] / "BENCHMARK.json"
-    workloads = json.loads(declared.read_text(encoding="utf-8"))["workloads"]
+    benchmark = json.loads(declared.read_text(encoding="utf-8"))
+    workloads = benchmark["workloads"]
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
     names = [w["name"] for w in workloads]
     unknown = [w for w in args.workload if w not in names]
     if unknown:
@@ -267,7 +289,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {p} {side}: wall_s "
                           f"{_result(group[-1])['metrics']['wall_s']['value']:.4f}",
                           file=sys.stderr)
-            summary[f"{workload}/seed{seed}"] = summarise(group)
+            summary[f"{workload}/seed{seed}"] = summarise(group, bounds)
             runs += group
         if args.trace_seed is not None:
             for side in ("parent", "change"):
